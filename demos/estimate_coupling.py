@@ -6,7 +6,7 @@ probe, invert the calibration curve per repetition, compare the empirical
 spread against the error-propagation prediction and the quantum Cramer-Rao
 bound from the dense oracle.
 
-Run with: python3 demos/estimate_coupling.py   (takes ~10 s)
+Run with: python3 demos/estimate_coupling.py   (takes about a second)
 """
 
 import numpy as np

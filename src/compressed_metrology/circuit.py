@@ -14,6 +14,16 @@ the probe; the auxiliary starts (and provably stays) in |+>.  Because
 R^T = step(0)^T ... step(L)^T, the runner applies Trotter steps in
 descending l; each step is [A^dag ladder, S1 via the auxiliary, A ladder,
 RY on the probe].  Measuring Y on the probe then gives <B> = (1 - <Y_m>)/2.
+
+The runner does not interpret gates step by step; it compiles the step once
+per register size.  RXX(a) = cos a 1 - i sin a X(x)X, so the ladder-wrapped
+S1 block is cos a 1 + sin a P_S with P_S the step program at a = pi/2, and
+RY(theta) = cos(theta/2) 1 + sin(theta/2) P_Y with P_Y = RY(pi) on the
+probe.  Both P's are monomial (one unit-modulus entry per row); their index
+maps and phases come from running ``trotter_step_gates`` through the
+interpreter, so the runner executes exactly the program ``full_program``
+dumps.  ``apply_gate``/``apply_program`` remain the interpreter for dumped
+programs and the oracle the compiled runner is tested against.
 """
 
 from __future__ import annotations
@@ -242,12 +252,65 @@ def full_program(params: IsingParams, schedule: TrotterSchedule) -> GateProgram:
 # Runner and measurement
 # ---------------------------------------------------------------------------
 
+def _monomial(program: GateProgram, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase) with (U psi)[i] = phase[i] * psi[src[i]] for a monomial program U.
+
+    U moves each amplitude to one image with a unit-modulus factor, so an
+    input with the distinct magnitudes dim..2 dim - 1 labels every image by
+    where it came from.  Raises if the program is not monomial.
+    """
+    dim = 1 << (m + 2)
+    reg = CompressedRegister(m=m, amplitudes=np.arange(dim, 2 * dim, dtype=complex))
+    apply_program(reg, program)
+    magnitude = np.abs(reg.amplitudes)
+    src = np.rint(magnitude).astype(np.int64) - dim
+    if set(src.tolist()) != set(range(dim)) or np.abs(magnitude - src - dim).max() > 1e-6:
+        raise ValueError("program is not a monomial map")
+    phase = reg.amplitudes / (src + dim)
+    return src, phase / np.abs(phase)
+
+
+@lru_cache(maxsize=None)
+def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps and phases of P_S and P_Y, derived from ``trotter_step_gates``.
+
+    On a one-step schedule with Delta = 1/2 and tau(1) = 1, J = pi/2 and B = 0
+    give the ladder-wrapped S1 block at a = pi/2 (RY(0) is the identity), and
+    B = pi/2, J = 0 give RY(pi) (RXX(0) and the ladder pair cancel).
+    """
+    schedule = TrotterSchedule(total_time=1.0, steps=1)
+    src_s, phase_s = _monomial(trotter_step_gates(0.0, math.pi / 2.0, 1, schedule, m), m)
+    src_y, phase_y = _monomial(trotter_step_gates(math.pi / 2.0, 0.0, 1, schedule, m), m)
+    maps = (src_s, phase_s, src_y, phase_y)
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> CompressedRegister:
-    """Apply R^T(B, J) to |Phi>|+>_a, one Trotter step at a time."""
+    """Apply R^T(B, J) to |Phi>|+>_a, one compiled Trotter step at a time.
+
+    Step l is U(l) = (cy 1 + sy P_Y)(c_l 1 + s_l P_S) with (c_l, s_l) the
+    cos/sin of J tau(l) and (cy, sy) those of 2 B Delta.  Expanded, that is
+    c_l Q0 + s_l Q1 with Q0 = cy 1 + sy P_Y and Q1 = Q0 P_S: four monomial
+    terms, so a step is one gather of the 4N amplitudes through four index
+    maps, a multiply by fixed phases, and a contraction with the step weights
+    (c_l, c_l, s_l, s_l).
+    """
     m = params.n_spins.bit_length() - 1
-    reg = initial_state(m)
-    for l in range(schedule.steps, -1, -1):
-        apply_program(reg, trotter_step_gates(params.field_b, params.coupling_j, l, schedule, m))
+    src_s, phase_s, src_y, phase_y = _compiled_step(m)
+    half = 0.5 * (4.0 * params.field_b * schedule.delta)
+    cy, sy = math.cos(half), math.sin(half)
+    index = np.stack([np.arange(src_s.size), src_y, src_s, src_s[src_y]])
+    phases = np.stack([np.full(src_s.size, cy), sy * phase_y,
+                       cy * phase_s, sy * phase_y * phase_s[src_y]])
+    angles = params.coupling_j * schedule.taus()
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    weights = np.stack([cos_a, cos_a, sin_a, sin_a], axis=1).astype(complex)
+    psi = initial_state(m).amplitudes
+    for weight in weights[::-1]:
+        psi = weight @ (phases * psi[index])
+    reg = CompressedRegister(m=m, amplitudes=psi)
     drift = abs(reg.norm() - 1.0)
     if drift > 1e-9:
         raise AssertionError(f"norm drifted by {drift:.3e} during the run")

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NoReturn
 
 import numpy as np
 
@@ -74,6 +75,12 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             val = file_cfg.get(key, default)
         resolved[key] = val
     return resolved
+
+
+def _usage_error(message: str) -> NoReturn:
+    """One line on stderr and exit 2, argparse's usage-error code; exit 1 means a failed check."""
+    print(f"cmetro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _schedule_from(cfg: dict, n_spins: int) -> adiabatic.TrotterSchedule:
@@ -315,6 +322,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     out = cfg.pop("out")
     if cfg["seed"] is None:
         raise SystemExit("--seed is mandatory for stochastic commands")
+    if cfg["shots"] < 1:
+        _usage_error(f"--shots must be at least 1, got {cfg['shots']}")
+    if cfg["reps"] < 1:
+        _usage_error(f"--reps must be at least 1, got {cfg['reps']}")
+    window = cfg["window"]
+    if len(window) != 2 or not window[0] < window[1]:
+        _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
     n, g_star = cfg["n"][0], cfg["g"][0]
     schedule = _schedule_from(cfg, n)
     if cfg["error_budget"] is not None:

@@ -236,8 +236,9 @@ def qfi_pure(params: IsingParams, fd_step: float = 1e-4) -> float:
     if params.n_spins > _MAX_EVOLVE_SPINS:
         raise ValueError("QFI oracle capped at N=10")
 
+    center = ground_state_even(params)
+
     def _estimate(step: float) -> float:
-        center = ground_state_even(params)
         sides = []
         for sign in (-1.0, +1.0):
             g_side = params.g + sign * step

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from compressed_metrology import adiabatic, circuit, ising, matchgate
@@ -209,6 +211,54 @@ class TestRunner:
             view = reg.view()
             plus_component = (view[..., 0] + view[..., 1]) / np.sqrt(2.0)
             assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-10
+
+
+class TestCompiledRunner:
+    """The compiled runner against step-by-step interpretation of the gate program."""
+
+    @staticmethod
+    def interpreted(params, sch):
+        m = params.n_spins.bit_length() - 1
+        reg = initial_state(m)
+        for l in range(sch.steps, -1, -1):
+            circuit.apply_program(
+                reg, trotter_step_gates(params.field_b, params.coupling_j, l, sch, m)
+            )
+        return reg.amplitudes
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_spins=st.sampled_from([2, 4, 8, 16]),
+        b_field=st.floats(-3.0, 3.0),
+        coupling=st.floats(-3.0, 3.0),
+        total_time=st.floats(0.01, 50.0),
+        steps=st.integers(0, 256),
+    )
+    def test_matches_interpreter(self, n_spins, b_field, coupling, total_time, steps):
+        params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
+        sch = TrotterSchedule(total_time=total_time, steps=steps)
+        compiled = run_circuit(params, sch).amplitudes
+        assert np.abs(compiled - self.interpreted(params, sch)).max() <= 1e-12
+
+    def test_gate_constructions_do_not_grow_with_steps(self, monkeypatch):
+        count = 0
+        validate = Gate.__post_init__
+
+        def counting(gate):
+            nonlocal count
+            count += 1
+            validate(gate)
+
+        monkeypatch.setattr(Gate, "__post_init__", counting)
+        params = IsingParams(8, field_b=0.9, coupling_j=1.1)
+        counts = []
+        for steps in (4, 512):
+            circuit._compiled_step.cache_clear()
+            count = 0
+            run_circuit(params, TrotterSchedule(total_time=4.0, steps=steps))
+            counts.append(count)
+        assert counts[0] > 0  # the step is compiled from the gate constructors
+        assert counts[0] == counts[1]
 
 
 class TestMeasurement:

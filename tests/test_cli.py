@@ -121,6 +121,22 @@ class TestEstimate:
         with pytest.raises(SystemExit, match="seed"):
             main(["estimate", "--n", "4", "--g", "1.0", "--l-steps", "8"])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--shots", "0", "--shots must be at least 1"),
+        ("--reps", "0", "--reps must be at least 1"),
+        ("--window", "1.5,0.5", "--window must be lo,hi with lo < hi"),
+    ])
+    def test_invalid_input_is_usage_error(self, monkeypatch, capsys, flag, value, message):
+        def not_reached(*args):
+            raise AssertionError("the circuit ran before the inputs were checked")
+
+        monkeypatch.setattr(circuit, "run_circuit", not_reached)
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_reproducible_byte_identical(self, tmp_path):
         code1, first = run(tmp_path, *self.ARGS)
         code2, second = run(tmp_path, *self.ARGS, out_name="out2")

@@ -214,3 +214,17 @@ class TestQFI:
         qfi = dense.qfi_pure(IsingParams(4, field_b=1.0, coupling_j=1.0))
         dg2 = ising.variance_b(1.0, 4) / ising.expected_b_derivative(1.0, 4) ** 2
         assert dg2 * qfi == pytest.approx(1.0, abs=1e-6)
+
+    def test_center_state_diagonalized_once(self, monkeypatch):
+        # one centre state shared by both step sizes, plus two sides per step
+        calls = 0
+        ground_state = dense.ground_state_even
+
+        def counting(params):
+            nonlocal calls
+            calls += 1
+            return ground_state(params)
+
+        monkeypatch.setattr(dense, "ground_state_even", counting)
+        dense.qfi_pure(IsingParams(4, field_b=1.0, coupling_j=1.0))
+        assert calls == 5
