@@ -13,9 +13,12 @@ Within a step R0 acts first; both conventions and the overall exponent signs
 are pinned against the dense spin-space oracle.
 
 Both Trotter layers are translation covariant under shifting Majorana cells,
-so the whole product block-diagonalizes per momentum into 2x2 unitaries.
-``adiabatic_rotation`` exploits that for long schedules; the direct product
-is kept as the plain path and the two are tested against each other.
+so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
+momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
+multiplies the steps of momenta 0..N/2 in cache-sized chunks and undoes the
+Fourier transform with one inverse FFT over the 2x2 blocks; this is the only
+product path.  The plain step-by-step product of the 2N x 2N rotations lives
+in the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import numpy as np
 
 from .ising import IsingParams
 
-_MOMENTUM_THRESHOLD = 20_000
-_CHUNK = 1 << 16
+# (step, mode) entries per chunk of the streamed product: each complex step
+# array is 1 MB whatever N and L are, so a chunk's tree stays in cache.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,8 @@ def build_schedule(
     if steps is None:
         steps = min(int(c_l * n_spins**5), step_cap)
     if total_time <= 0.0 or steps <= 0:
-        raise ValueError("schedule needs positive total_time and steps")
+        raise ValueError(
+            f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
     schedule = TrotterSchedule(total_time=float(total_time), steps=int(steps))
     if error_budget is not None and trotter_error_bound(schedule) > error_budget:
         warnings.warn(
@@ -98,76 +103,6 @@ def build_schedule(
 def trotter_error_bound(schedule: TrotterSchedule) -> float:
     """The discretization-error proxy L * Delta^2 (a comparable scale, not a bound constant)."""
     return schedule.steps * schedule.delta**2
-
-
-def shift_matrix(dim: int) -> np.ndarray:
-    """Cyclic shift A = sum_j |j+1><j| + |0><2N-1| on ``dim`` labels."""
-    if dim < 2:
-        raise ValueError("shift needs dim >= 2")
-    return np.roll(np.eye(dim), 1, axis=0)
-
-
-def h0_generator(n_spins: int) -> np.ndarray:
-    """Field generator h0 = (1/2) blockdiag([[0, 1], [-1, 0]]) of shape 2N x 2N."""
-    if n_spins < 1:
-        raise ValueError("n_spins must be >= 1")
-    h0 = np.zeros((2 * n_spins, 2 * n_spins))
-    even = np.arange(0, 2 * n_spins, 2)
-    h0[even, even + 1] = 0.5
-    h0[even + 1, even] = -0.5
-    return h0
-
-
-def h1_generator(n_spins: int) -> np.ndarray:
-    """Interaction generator h1 = A h0 A^T (one-site shift of every cell)."""
-    return np.roll(h0_generator(n_spins), (1, 1), axis=(0, 1))
-
-
-def block_rotation(n_spins: int, angle: float) -> np.ndarray:
-    """blockdiag of N planar rotations [[c, s], [-s, c]] = exp(2*angle*h0)."""
-    rot = np.zeros((2 * n_spins, 2 * n_spins))
-    even = np.arange(0, 2 * n_spins, 2)
-    c, s = math.cos(angle), math.sin(angle)
-    rot[even, even] = c
-    rot[even + 1, even + 1] = c
-    rot[even, even + 1] = s
-    rot[even + 1, even] = -s
-    return rot
-
-
-def r0_rotation(field_b: float, schedule: TrotterSchedule, n_spins: int) -> np.ndarray:
-    """Per-step field rotation R0 = exp(4 B Delta h0): planar angle 2 B Delta per cell."""
-    return block_rotation(n_spins, 2.0 * field_b * schedule.delta)
-
-
-def r1_rotation(coupling_j: float, l: int, schedule: TrotterSchedule, n_spins: int) -> np.ndarray:
-    """Per-step interaction rotation R1 = A exp(2 J tau(l) h0) A^T; identity at l = 0."""
-    return np.roll(block_rotation(n_spins, coupling_j * schedule.tau(l)), (1, 1), axis=(0, 1))
-
-
-def _mix_even_rows(mat: np.ndarray, c: float, s: float) -> np.ndarray:
-    out = np.empty_like(mat)
-    even, odd = mat[0::2], mat[1::2]
-    out[0::2] = c * even + s * odd
-    out[1::2] = -s * even + c * odd
-    return out
-
-
-def _adiabatic_rotation_direct(
-    params: IsingParams, schedule: TrotterSchedule, shifted: bool
-) -> np.ndarray:
-    n = params.n_spins
-    rot = np.eye(2 * n)
-    cb = math.cos(2.0 * params.field_b * schedule.delta)
-    sb = math.sin(2.0 * params.field_b * schedule.delta)
-    for l in range(schedule.steps + 1):
-        rot = _mix_even_rows(rot, cb, sb)
-        phi = params.coupling_j * schedule.tau(l)
-        if shifted:
-            rot = np.roll(_mix_even_rows(np.roll(rot, -1, axis=0), math.cos(phi), math.sin(phi)), 1, axis=0)
-        else:
-            rot = _mix_even_rows(rot, math.cos(phi), math.sin(phi))
-    return rot
 
 
 def _su2_tree(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,25 +126,31 @@ def _su2_tree(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[0], b[0]
 
 
-def _adiabatic_rotation_momentum(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
-    """Momentum-space evaluation of the same ordered product.
+def _half_spectrum_products(
+    params: IsingParams, schedule: TrotterSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the ordered per-momentum SU(2) products at q_k = 2 pi k / N, k = 0..N/2.
 
-    Both Trotter layers are cell-circulant, so momentum k sees the SU(2) step
-    Ghat_odd(q, phi_l) Ghat_even(beta), q = 2 pi k / N.  Per-momentum products
-    are accumulated with chunked pairwise trees in the (a, b) parametrization
-    [[a, -conj b], [b, conj a]] and transformed back to the real rotation.
+    Momentum k sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
+    are streamed in chunks of about _CHUNK_ENTRIES (step, mode) entries, each
+    reduced by a pairwise tree and folded into the running product.
     """
-    n = params.n_spins
-    q = 2.0 * np.pi * np.arange(n) / n
+    n, steps = params.n_spins, schedule.steps
+    q = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     beta = 2.0 * params.field_b * schedule.delta
     cb, sb = math.cos(beta), math.sin(beta)
     phase_up = np.exp(1j * q)
 
-    acc_a = np.ones(n, dtype=complex)
-    acc_b = np.zeros(n, dtype=complex)
-    taus = schedule.taus()
-    for start in range(0, taus.size, _CHUNK):
-        phi = params.coupling_j * taus[start:start + _CHUNK]
+    acc_a = np.ones(q.size, dtype=complex)
+    acc_b = np.zeros(q.size, dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // q.size)
+    for start in range(0, steps + 1, chunk):
+        # tau(l) with the bits of schedule.taus(); the single step of L = 0 has tau = 0
+        if steps:
+            taus = 2.0 * np.arange(start, min(start + chunk, steps + 1)) * schedule.delta / steps
+        else:
+            taus = np.zeros(1)
+        phi = params.coupling_j * taus
         c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
         # step = G_odd(q, phi) @ G_even(beta) in (a, b) components
         step_a = c * cb + (s * sb) * phase_up.conj()[None, :]
@@ -221,39 +162,30 @@ def _adiabatic_rotation_momentum(params: IsingParams, schedule: TrotterSchedule)
         norm = np.sqrt(np.abs(acc_a) ** 2 + np.abs(acc_b) ** 2)
         acc_a /= norm
         acc_b /= norm
-
-    blocks = np.empty((n, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = acc_a
-    blocks[:, 0, 1] = -np.conj(acc_b)
-    blocks[:, 1, 0] = acc_b
-    blocks[:, 1, 1] = np.conj(acc_a)
-
-    # Back-transform: R[2j+a, 2j'+b] = (1/N) sum_k e^{i q_k (j - j')} blocks[k, a, b].
-    w = np.exp(1j * np.outer(np.arange(n), q))
-    rot = np.einsum("jk,kab,lk->jalb", w, blocks, w.conj()) / n
-    rot = rot.reshape(2 * n, 2 * n)
-    if np.abs(rot.imag).max() > 1e-10:
-        raise AssertionError("momentum reconstruction produced a non-real rotation")
-    return np.ascontiguousarray(rot.real)
+    return acc_a, acc_b
 
 
-def adiabatic_rotation(
-    params: IsingParams,
-    schedule: TrotterSchedule,
-    *,
-    method: str = "auto",
-    shifted_interaction: bool = True,
-) -> np.ndarray:
+def adiabatic_rotation(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """Ordered product prod_{l=0..L} R1(J, l) R0(B), step l = 0 applied first.
 
-    ``shifted_interaction=False`` replaces h1 by h0 (commuting layers), which
-    collapses the product to a single block rotation, a test hook for the
-    ordering conventions.  ``method`` is "auto", "direct" or "momentum".
+    Evaluated per momentum (half spectrum) and transformed back to the real
+    2N x 2N rotation.
     """
-    if method not in ("auto", "direct", "momentum"):
-        raise ValueError(f"unknown method {method!r}")
-    if not shifted_interaction:
-        return _adiabatic_rotation_direct(params, schedule, shifted=False)
-    if method == "momentum" or (method == "auto" and schedule.steps > _MOMENTUM_THRESHOLD):
-        return _adiabatic_rotation_momentum(params, schedule)
-    return _adiabatic_rotation_direct(params, schedule, shifted=True)
+    n = params.n_spins
+    acc_a, acc_b = _half_spectrum_products(params, schedule)
+    half = acc_a.size
+    blocks = np.empty((n, 2, 2), dtype=complex)
+    blocks[:half, 0, 0] = acc_a
+    blocks[:half, 0, 1] = -np.conj(acc_b)
+    blocks[:half, 1, 0] = acc_b
+    blocks[:half, 1, 1] = np.conj(acc_a)
+    # Real step angles: momentum N - k (q -> -q) is the conjugate of momentum k.
+    blocks[half:] = np.conj(blocks[half - 2:0:-1])
+
+    # Back-transform: R[2j+a, 2l+b] = (1/N) sum_k e^{i q_k (j - l)} blocks[k, a, b]
+    # is block circulant, so it is the inverse FFT of the blocks read at (j - l) mod N.
+    cells = np.fft.ifft(blocks, axis=0)
+    if np.abs(cells.imag).max() > 1e-10:
+        raise AssertionError("momentum reconstruction produced a non-real rotation")
+    offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return cells.real[offset].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)

@@ -33,6 +33,8 @@ SLOPE_WINDOW_B = (-2.1, -1.9)
 SLOPE_WINDOW_M = (-1.35, -1.0)
 FLATNESS_WINDOW_M = 0.10
 SCHEMA_VERSION = 1
+# Config keys whose flags take comma-separated lists, with their element type.
+_LIST_KEYS = {"n": int, "n_magnetization": int, "g": float, "window": float}
 
 
 def _fmt12(x: float) -> str:
@@ -68,6 +70,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            kind = _LIST_KEYS.get(key)
+            if kind and val is not None and not _is_list_of(val, kind):
+                _usage_error(f"config key {key!r} must be a list of {kind.__name__}s, "
+                             f"got {json.dumps(val)}")
     resolved = {}
     for key, default in defaults.items():
         val = getattr(args, key, None)
@@ -77,21 +84,48 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+def _is_list_of(val, kind: type) -> bool:
+    numbers = (int,) if kind is int else (int, float)
+    return isinstance(val, list) and all(
+        isinstance(v, numbers) and not isinstance(v, bool) for v in val)
+
+
 def _usage_error(message: str) -> NoReturn:
     """One line on stderr and exit 2, argparse's usage-error code; exit 1 means a failed check."""
     print(f"cmetro: error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
+def _check_sizes(sizes: list[int], *, curves: bool, chain: bool) -> None:
+    """Usage error unless every N suits the command, before any work runs.
+
+    The closed-form curves need even N >= 4; the chain itself (rotation,
+    circuit, dense oracle) needs a power of two.
+    """
+    if not sizes:
+        _usage_error("--n needs at least one size")
+    for n in sizes:
+        try:
+            if curves:
+                ising.check_curve_size(n)
+            if chain:
+                ising.IsingParams(n, field_b=1.0, coupling_j=1.0)
+        except ValueError as exc:
+            _usage_error(f"--n: {exc}")
+
+
 def _schedule_from(cfg: dict, n_spins: int) -> adiabatic.TrotterSchedule:
-    return adiabatic.build_schedule(
-        n_spins,
-        total_time=cfg.get("t_total"),
-        steps=cfg.get("l_steps"),
-        c_t=cfg.get("c_t", 10.0),
-        c_l=cfg.get("c_l", 1.0),
-        step_cap=cfg.get("l_cap", 10**6),
-    )
+    try:
+        return adiabatic.build_schedule(
+            n_spins,
+            total_time=cfg.get("t_total"),
+            steps=cfg.get("l_steps"),
+            c_t=cfg.get("c_t", 10.0),
+            c_l=cfg.get("c_l", 1.0),
+            step_cap=cfg.get("l_cap", 10**6),
+        )
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 def _schedule_meta(sch: adiabatic.TrotterSchedule) -> dict:
@@ -119,6 +153,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = cfg.pop("out")
     if not cfg["g"]:
         raise SystemExit("sweep needs a nonempty --g list")
+    _check_sizes(cfg["n"], curves=True, chain=False)
     tasks = sorted((n, g) for n in cfg["n"] for g in cfg["g"])
     workers = int(os.environ.get("CMETRO_WORKERS", "1"))
     if workers > 1:
@@ -196,6 +231,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     out = cfg.pop("out")
     g = cfg["g"][0]
     n_list_b = cfg["n"] or [2**k for k in range(3, 11)]
+    _check_sizes(n_list_b, curves=True, chain=False)
+    _check_sizes(cfg["n_magnetization"], curves=True, chain=False)
     report = scaling_report(g, n_list_b, cfg["n_magnetization"], cfg["shots"])
     payload = {"command": "scaling", "config": cfg, **report, "passed": not report["failures"]}
     _json_report(payload, out)
@@ -237,12 +274,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if cfg["b"] is not None:
         cfg["g"] = [cfg["b"] / cfg["j"]]
     out = cfg.pop("out")
+    sizes = sorted(cfg["n"])
+    _check_sizes(sizes, curves=True, chain=True)
+    if sizes[-1] > 8:
+        raise SystemExit("compare runs the gate/dense legs; N <= 8 required")
+    schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
     failures = []
     rows = []
-    for n in sorted(cfg["n"]):
-        if n > 8:
-            raise SystemExit("compare runs the gate/dense legs; N <= 8 required")
-        schedule = _schedule_from(cfg, n)
+    for n, schedule in schedules:
         for g in sorted(cfg["g"]):
             row = compare_point(n, g, schedule, coupling_j=cfg["j"])
             row.update(_schedule_meta(schedule))
@@ -306,8 +345,7 @@ def estimation_run(
         "clamped_reps": int(clamped),
     }
     if n <= 10:
-        qfi = dense.qfi_pure(params)
-        out["cramer_rao_bound"] = metrology.cramer_rao(qfi, shots)
+        out["cramer_rao_bound"] = metrology.cramer_rao(ising.qfi(g_star, n), shots)
     return out
 
 
@@ -329,6 +367,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     window = cfg["window"]
     if len(window) != 2 or not window[0] < window[1]:
         _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
+    _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = cfg["n"][0], cfg["g"][0]
     schedule = _schedule_from(cfg, n)
     if cfg["error_budget"] is not None:
@@ -366,6 +405,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
         "out": None,
     })
     out = cfg.pop("out")
+    _check_sizes(cfg["n"], curves=False, chain=True)
     n = cfg["n"][0]
     m = n.bit_length() - 1
     schedule = _schedule_from(cfg, n)
@@ -395,14 +435,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "out": None,
     })
     out = cfg.pop("out")
+    sizes = sorted(cfg["n"])
+    _check_sizes(sizes, curves=False, chain=True)
+    if sizes[-1] > 10:
+        raise SystemExit("oracle is capped at N <= 10")
+    schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
     rows = []
-    for n in sorted(cfg["n"]):
-        if n > 10:
-            raise SystemExit("oracle is capped at N <= 10")
+    for n, schedule in schedules:
         b_op = dense.observable_b_dense(n)
         m_op = dense.observable_m_dense(n)
         parity = np.diag(dense.parity_diag(n)).astype(complex)
-        schedule = _schedule_from(cfg, n)
         for g in sorted(cfg["g"]):
             params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
             state = dense.ground_state_even(params)

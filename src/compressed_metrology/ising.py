@@ -26,7 +26,7 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_curve_size(n_spins: int) -> None:
+def check_curve_size(n_spins: int) -> None:
     # The compression stack needs N = 2^m, but the closed forms only need the
     # momentum grid to contain the modes 0, 1 and N/2: any even N >= 4 works.
     if n_spins < 4 or n_spins % 2:
@@ -130,21 +130,21 @@ def mode_data(params: IsingParams, j: int) -> ModeData:
 
 def expected_b(g: float, n_spins: int) -> float:
     """Ground-state occupation of the k=1 Fourier mode, (1 - cos theta_1)/2."""
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     xi = mode_xi(n_spins, 1)
     return 0.5 * (1.0 + (math.cos(xi) - g) / math.sqrt(_radicand(g, xi)))
 
 
 def expected_b_derivative(g: float, n_spins: int) -> float:
     """d<B>/dg = -sin^2(xi_1) / (2 r^3); strictly negative, ~ -N/(4 pi) at g=1."""
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     xi = mode_xi(n_spins, 1)
     return -math.sin(xi) ** 2 / (2.0 * _radicand(g, xi) ** 1.5)
 
 
 def variance_b(g: float, n_spins: int) -> float:
     """Var B = sin^2(xi_1) / (4 r^2); equals <B>(1 - <B>) since B is a projector."""
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     xi = mode_xi(n_spins, 1)
     return math.sin(xi) ** 2 / (4.0 * _radicand(g, xi))
 
@@ -155,7 +155,7 @@ def variance_b(g: float, n_spins: int) -> float:
 
 def expected_m(g: float, n_spins: int) -> float:
     """<M> = (2/N) [1 + sum_{j=1}^{N/2-1} (g - cos xi_j)/r_j] on the even branch."""
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     total = math.fsum(
         (g - math.cos(mode_xi(n_spins, j))) / math.sqrt(_radicand(g, mode_xi(n_spins, j)))
         for j in range(1, n_spins // 2)
@@ -169,7 +169,7 @@ def expected_m_derivative(g: float, n_spins: int) -> float:
     At g = 1 it grows like (ln N + gamma + ln(2/pi) - 1)/pi, with gamma the
     Euler-Mascheroni constant (to 4 digits for N >= 2^8).
     """
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     total = math.fsum(
         math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j)) ** 1.5
         for j in range(1, n_spins // 2)
@@ -187,9 +187,27 @@ def variance_m(g: float, n_spins: int) -> float:
     exactly, while this expression tends to 4/N^2).  The dense oracle pins
     the offset; the O(1/N) scaling at g = 1 is unaffected.
     """
-    _check_curve_size(n_spins)
+    check_curve_size(n_spins)
     total = math.fsum(
         math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j))
         for j in range(1, n_spins // 2)
     )
     return 4.0 / n_spins**2 * (1.0 + total)
+
+
+# ---------------------------------------------------------------------------
+# Quantum Fisher information
+# ---------------------------------------------------------------------------
+
+def qfi(g: float, n_spins: int) -> float:
+    """QFI of the even-branch ground state w.r.t. g: sum_{j=1}^{N/2-1} sin^2(xi_j)/r_j^4.
+
+    Each paired mode is a two-level state rotated by its Bogoliubov angle, and
+    contributes (d theta_j/dg)^2 = sin^2(xi_j)/r_j^4; the unpaired modes stay
+    empty.  ``dense.qfi_pure`` is its oracle.
+    """
+    check_curve_size(n_spins)
+    return math.fsum(
+        math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j)) ** 2
+        for j in range(1, n_spins // 2)
+    )

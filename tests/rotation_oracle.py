@@ -1,0 +1,91 @@
+"""Plain 2N x 2N forms of the Trotter rotations: the test-side oracle of ``adiabatic``.
+
+``direct_rotation`` multiplies the step rotations one at a time in real
+arithmetic, the product ``adiabatic.adiabatic_rotation`` evaluates per
+momentum.  The generators and per-step rotations pin the conventions against
+the dense spin-space oracle and the gate program.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from compressed_metrology.adiabatic import TrotterSchedule
+from compressed_metrology.ising import IsingParams
+
+
+def shift_matrix(dim: int) -> np.ndarray:
+    """Cyclic shift A = sum_j |j+1><j| + |0><2N-1| on ``dim`` labels."""
+    if dim < 2:
+        raise ValueError("shift needs dim >= 2")
+    return np.roll(np.eye(dim), 1, axis=0)
+
+
+def h0_generator(n_spins: int) -> np.ndarray:
+    """Field generator h0 = (1/2) blockdiag([[0, 1], [-1, 0]]) of shape 2N x 2N."""
+    if n_spins < 1:
+        raise ValueError("n_spins must be >= 1")
+    h0 = np.zeros((2 * n_spins, 2 * n_spins))
+    even = np.arange(0, 2 * n_spins, 2)
+    h0[even, even + 1] = 0.5
+    h0[even + 1, even] = -0.5
+    return h0
+
+
+def h1_generator(n_spins: int) -> np.ndarray:
+    """Interaction generator h1 = A h0 A^T (one-site shift of every cell)."""
+    return np.roll(h0_generator(n_spins), (1, 1), axis=(0, 1))
+
+
+def block_rotation(n_spins: int, angle: float) -> np.ndarray:
+    """blockdiag of N planar rotations [[c, s], [-s, c]] = exp(2*angle*h0)."""
+    rot = np.zeros((2 * n_spins, 2 * n_spins))
+    even = np.arange(0, 2 * n_spins, 2)
+    c, s = math.cos(angle), math.sin(angle)
+    rot[even, even] = c
+    rot[even + 1, even + 1] = c
+    rot[even, even + 1] = s
+    rot[even + 1, even] = -s
+    return rot
+
+
+def r0_rotation(field_b: float, schedule: TrotterSchedule, n_spins: int) -> np.ndarray:
+    """Per-step field rotation R0 = exp(4 B Delta h0): planar angle 2 B Delta per cell."""
+    return block_rotation(n_spins, 2.0 * field_b * schedule.delta)
+
+
+def r1_rotation(coupling_j: float, l: int, schedule: TrotterSchedule, n_spins: int) -> np.ndarray:
+    """Per-step interaction rotation R1 = A exp(2 J tau(l) h0) A^T; identity at l = 0."""
+    return np.roll(block_rotation(n_spins, coupling_j * schedule.tau(l)), (1, 1), axis=(0, 1))
+
+
+def mix_even_rows(mat: np.ndarray, c: float, s: float) -> np.ndarray:
+    out = np.empty_like(mat)
+    even, odd = mat[0::2], mat[1::2]
+    out[0::2] = c * even + s * odd
+    out[1::2] = -s * even + c * odd
+    return out
+
+
+def direct_rotation(
+    params: IsingParams, schedule: TrotterSchedule, shifted: bool = True
+) -> np.ndarray:
+    """prod_{l=0..L} R1(J, l) R0(B), one step at a time, step l = 0 applied first.
+
+    ``shifted=False`` replaces h1 by h0 (commuting layers), which collapses the
+    product to a single block rotation: a check of the ordering conventions.
+    """
+    n = params.n_spins
+    rot = np.eye(2 * n)
+    cb = math.cos(2.0 * params.field_b * schedule.delta)
+    sb = math.sin(2.0 * params.field_b * schedule.delta)
+    for l in range(schedule.steps + 1):
+        rot = mix_even_rows(rot, cb, sb)
+        phi = params.coupling_j * schedule.tau(l)
+        if shifted:
+            rot = np.roll(mix_even_rows(np.roll(rot, -1, axis=0), math.cos(phi), math.sin(phi)), 1, axis=0)
+        else:
+            rot = mix_even_rows(rot, math.cos(phi), math.sin(phi))
+    return rot

@@ -18,6 +18,7 @@ from compressed_metrology import adiabatic, circuit, dense, ising, matchgate, me
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.cli import estimation_run
 from compressed_metrology.ising import IsingParams
+from rotation_oracle import direct_rotation
 
 
 def _report(capsys, criterion: str, ok: bool, elapsed: float, detail: str) -> None:
@@ -211,7 +212,8 @@ def test_criterion_6_end_to_end_estimation(capsys):
 
 def test_criterion_7_structural_exactness(capsys):
     """Shift ladder exact for m <= 5; A^{2N}=I; m+1 controlled gates; sum tau = T;
-    rotation invariants hold for representative products."""
+    rotation invariants hold for representative products, which match the
+    step-by-step product to 1e-12 where it is run."""
     start = time.perf_counter()
     shift_exact = True
     for m in range(1, 6):
@@ -230,20 +232,29 @@ def test_criterion_7_structural_exactness(capsys):
         sch = TrotterSchedule(total_time=total_time, steps=steps)
         tau_ok &= abs(math.fsum(sch.taus()) - total_time) < 1e-9 * total_time
 
+    # The two shorter products also run through the step-by-step oracle,
+    # which must satisfy the invariants and agree with the production path.
     rotations_ok = True
-    for n, steps, method in ((4, 1024, "direct"), (8, 257, "direct"), (16, 40000, "momentum")):
+    oracle_delta = 0.0
+    for n, steps, with_oracle in ((4, 1024, True), (8, 257, True), (16, 40000, False)):
         params = IsingParams(n, field_b=1.0, coupling_j=1.0)
-        rot = adiabatic.adiabatic_rotation(params, TrotterSchedule(10.0 * n * n, steps),
-                                           method=method)
-        try:
-            matchgate.assert_rotation(rot)
-        except ValueError:
-            rotations_ok = False
+        sch = TrotterSchedule(10.0 * n * n, steps)
+        rots = [adiabatic.adiabatic_rotation(params, sch)]
+        if with_oracle:
+            rots.append(direct_rotation(params, sch))
+            oracle_delta = max(oracle_delta, float(np.abs(rots[0] - rots[1]).max()))
+        for rot in rots:
+            try:
+                matchgate.assert_rotation(rot)
+            except ValueError:
+                rotations_ok = False
 
     elapsed = time.perf_counter() - start
-    ok = shift_exact and tau_ok and rotations_ok
+    ok = shift_exact and tau_ok and rotations_ok and oracle_delta < 1e-12
     _report(capsys, "7 (structural exactness)", ok, elapsed,
-            f"shift exact {shift_exact}, tau sums {tau_ok}, rotation invariants {rotations_ok}")
+            f"shift exact {shift_exact}, tau sums {tau_ok}, rotation invariants {rotations_ok}, "
+            f"direct-product delta {oracle_delta:.1e}")
     assert shift_exact
     assert tau_ok
     assert rotations_ok
+    assert oracle_delta < 1e-12

@@ -4,22 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from compressed_metrology import dense, ising, matchgate
+from compressed_metrology import adiabatic, dense, ising, matchgate
 from compressed_metrology.adiabatic import (
     TrotterSchedule,
     adiabatic_rotation,
-    block_rotation,
     build_schedule,
+    trotter_error_bound,
+)
+from compressed_metrology.ising import IsingParams
+from rotation_oracle import (
+    block_rotation,
+    direct_rotation,
     h0_generator,
     h1_generator,
     r0_rotation,
     r1_rotation,
     shift_matrix,
-    trotter_error_bound,
 )
-from compressed_metrology.ising import IsingParams
 
 
 class TestSchedule:
@@ -163,6 +168,7 @@ class TestAdiabaticRotation:
         for l in (0, 1, 2):
             explicit = r1_rotation(params.coupling_j, l, sch, 4) @ r0 @ explicit
         assert np.abs(adiabatic_rotation(params, sch) - explicit).max() < 1e-13
+        assert np.abs(direct_rotation(params, sch) - explicit).max() < 1e-13
 
     def test_orthogonality(self):
         params = IsingParams(8, field_b=1.0, coupling_j=1.0)
@@ -172,7 +178,7 @@ class TestAdiabaticRotation:
     def test_commuting_interaction_hook(self):
         params = IsingParams(4, field_b=0.6, coupling_j=1.1)
         sch = TrotterSchedule(total_time=2.0, steps=5)
-        rot = adiabatic_rotation(params, sch, shifted_interaction=False)
+        rot = direct_rotation(params, sch, shifted=False)
         total = 2.0 * 0.6 * sch.delta * (sch.steps + 1) + 1.1 * math.fsum(sch.taus())
         assert np.abs(rot - block_rotation(4, total)).max() < 1e-12
 
@@ -181,13 +187,31 @@ class TestAdiabaticRotation:
     def test_momentum_equals_direct(self, n_spins, steps):
         params = IsingParams(n_spins, field_b=1.1, coupling_j=0.9)
         sch = TrotterSchedule(total_time=5.0, steps=steps)
-        direct = adiabatic_rotation(params, sch, method="direct")
-        momentum = adiabatic_rotation(params, sch, method="momentum")
-        assert np.abs(direct - momentum).max() < 1e-12
+        assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            adiabatic_rotation(IsingParams(4, 1.0, 1.0), TrotterSchedule(1.0, 1), method="x")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_spins=st.sampled_from([2, 4, 8, 16, 32]),
+        b_field=st.floats(-3.0, 3.0),
+        coupling=st.floats(-3.0, 3.0),
+        total_time=st.floats(0.01, 50.0),
+        steps=st.integers(0, 5000),
+    )
+    @example(n_spins=2, b_field=1.3, coupling=0.7, total_time=2.0, steps=0)
+    @example(n_spins=32, b_field=-0.4, coupling=1.9, total_time=7.5, steps=1)
+    def test_matches_direct_product(self, n_spins, b_field, coupling, total_time, steps):
+        params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
+        sch = TrotterSchedule(total_time=total_time, steps=steps)
+        assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_spins", [16, 32])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, n_spins, offset):
+        # L + 1 steps one short of, equal to and one past a whole chunk
+        chunk = adiabatic._CHUNK_ENTRIES // (n_spins // 2 + 1)
+        params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
+        sch = TrotterSchedule(total_time=20.0, steps=chunk + offset - 1)
+        assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
 
 
 class TestTrotterErrorProxy:

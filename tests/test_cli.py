@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from compressed_metrology import circuit
+from compressed_metrology import adiabatic, circuit, dense
 from compressed_metrology.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -77,6 +77,56 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit, match="unknown config keys"):
             main(["sweep", "--g", "1.0", "--config", str(cfg)])
+
+
+class TestUsageErrors:
+    """Bad sizes, schedules and config types: one stderr line, exit 2, nothing evaluated."""
+
+    BASE = {
+        "sweep": ["sweep", "--g", "1.0"],
+        "scaling": ["scaling"],
+        "compare": ["compare", "--l-steps", "8"],
+        "estimate": ["estimate", "--seed", "1", "--l-steps", "8"],
+        "dump": ["dump", "--l-steps", "1"],
+        "oracle": ["oracle", "--l-steps", "8"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a path ran before the inputs were checked")
+
+        for module, name in ((circuit, "run_circuit"), (circuit, "full_program"),
+                             (adiabatic, "adiabatic_rotation"), (dense, "trotter_evolve"),
+                             (dense, "ground_state_even")):
+            monkeypatch.setattr(module, name, not_reached)
+
+    def usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate"])
+    def test_size_below_curve_minimum(self, capsys, command):
+        self.usage_error(capsys, [*self.BASE[command], "--n", "2"],
+                         "--n: mode-1 observables need even N >= 4, got 2")
+
+    @pytest.mark.parametrize("command", ["compare", "estimate", "dump", "oracle"])
+    @pytest.mark.parametrize("flag,value", [("--l-steps", "0"), ("--t-total", "0"),
+                                            ("--t-total", "-2.5")])
+    def test_nonpositive_schedule(self, capsys, command, flag, value):
+        self.usage_error(capsys, [*self.BASE[command], "--n", "4", flag, value],
+                         "schedule needs positive total_time and steps")
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "dump",
+                                         "oracle"])
+    def test_scalar_for_list_in_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4}))
+        self.usage_error(capsys, [*self.BASE[command], "--config", str(cfg)],
+                         "config key 'n' must be a list of ints, got 4")
 
 
 class TestScaling:

@@ -8,15 +8,6 @@ from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 
 
-def analytic_qfi(g: float, n_spins: int) -> float:
-    """Mode-sum QFI of the even branch: sum_j sin^2(xi_j)/r_j^4 over paired modes."""
-    total = 0.0
-    for j in range(1, n_spins // 2):
-        xi = 2.0 * np.pi * j / n_spins
-        total += np.sin(xi) ** 2 / (1.0 + g * g - 2.0 * g * np.cos(xi)) ** 2
-    return total
-
-
 class TestHamiltonian:
     def test_field_only(self):
         ham = dense.build_hamiltonian(IsingParams(2, field_b=1.0, coupling_j=0.0))
@@ -188,10 +179,11 @@ class TestTrotterEvolve:
 
 
 class TestQFI:
-    @pytest.mark.parametrize("n_spins,g", [(4, 1.0), (4, 3.0), (8, 1.0), (8, 2.0)])
+    @pytest.mark.parametrize("n_spins,g", [(4, 0.5), (4, 1.0), (4, 1.5), (4, 3.0),
+                                           (8, 0.5), (8, 1.0), (8, 1.5), (8, 2.0)])
     def test_against_mode_sum(self, n_spins, g):
         p = IsingParams(n_spins, field_b=g, coupling_j=1.0)
-        assert dense.qfi_pure(p) == pytest.approx(analytic_qfi(g, n_spins), rel=1e-7)
+        assert dense.qfi_pure(p) == pytest.approx(ising.qfi(g, n_spins), rel=1e-7)
 
     def test_peaks_near_transition(self):
         at_transition = dense.qfi_pure(IsingParams(8, field_b=1.0, coupling_j=1.0))
