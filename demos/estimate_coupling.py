@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end coupling estimation on the compressed register.
 
-Pipeline: run the (m+2)-qubit circuit once at the true g, draw Y-shots on the
-probe, invert the calibration curve per repetition, compare the empirical
-spread against the error-propagation prediction and the quantum Cramer-Rao
-bound from the dense oracle.
+Pipeline: run the (m+2)-qubit circuit once at the true g, count the +1
+outcomes of each repetition's Y-shots on the probe, invert the calibration
+curve once per distinct count, compare the empirical spread against the
+error-propagation prediction and the quantum Cramer-Rao bound from the dense
+oracle.
 
 Run with: python3 demos/estimate_coupling.py   (takes about a second)
 """
@@ -26,11 +27,8 @@ def main():
     print(f"circuit <B> = {circuit_b:.6f}  (analytic {ising.expected_b(g_star, n):.6f})")
 
     rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    estimates = []
-    for r in range(reps):
-        samples = circuit.sample_ym(reg, shots, int(rep_seeds[r]))
-        estimates.append(metrology.estimate_g(samples, n).g_hat)
-    estimates = np.array(estimates)
+    counts = circuit.count_ym(reg, shots, rep_seeds)
+    estimates, _ = metrology.estimate_counts(counts, shots, n)
 
     mse = float(np.mean((estimates - g_star) ** 2))
     predicted = metrology.precision_b(g_star, n, shots).delta_g_sq

@@ -16,6 +16,7 @@ from .circuit import (
     CompressedRegister,
     Gate,
     GateProgram,
+    count_ym,
     decompose_shift,
     dump_program,
     expectation_b_gate,
@@ -28,7 +29,6 @@ from .circuit import (
 )
 from .ising import (
     IsingParams,
-    ModeData,
     bogoliubov_angle,
     expected_b,
     expected_b_derivative,
@@ -53,13 +53,13 @@ from .metrology import (
     ScalingFit,
     cramer_rao,
     error_propagation,
+    estimate_counts,
     estimate_g,
     fit_power_law,
     fit_scaling,
     invert_expected_b,
     precision_b,
     precision_m,
-    sequential_reference,
 )
 
 __version__ = "0.1.0"

@@ -327,13 +327,28 @@ def measure_ym(reg: CompressedRegister) -> float:
     return float((2.0 * np.imag(np.sum(lo.conj() * hi))))
 
 
-def sample_ym(reg: CompressedRegister, shots: int, seed: int) -> np.ndarray:
-    """i.i.d. +-1 samples of Y on the probe; deterministic for a fixed seed."""
+def _p_plus(reg: CompressedRegister, shots: int) -> float:
+    """Probability of the +1 outcome of Y on the probe, clamped to [0, 1]; checks ``shots``."""
     if shots < 1:
         raise ValueError("need at least one shot")
-    p_plus = min(max(0.5 * (1.0 + measure_ym(reg)), 0.0), 1.0)
+    return min(max(0.5 * (1.0 + measure_ym(reg)), 0.0), 1.0)
+
+
+def sample_ym(reg: CompressedRegister, shots: int, seed: int) -> np.ndarray:
+    """i.i.d. +-1 samples of Y on the probe; deterministic for a fixed seed."""
+    p_plus = _p_plus(reg, shots)
     rng = np.random.default_rng(seed)
     return np.where(rng.random(shots) < p_plus, 1, -1)
+
+
+def count_ym(reg: CompressedRegister, shots: int, seeds) -> np.ndarray:
+    """Per seed, the count of +1 samples ``sample_ym(reg, shots, seed)`` returns,
+    from the same uniforms, with one probe read and no samples array."""
+    p_plus = _p_plus(reg, shots)
+    counts = np.empty(len(seeds), dtype=np.int64)
+    for i, seed in enumerate(seeds):
+        counts[i] = np.count_nonzero(np.random.default_rng(int(seed)).random(shots) < p_plus)
+    return counts
 
 
 def expectation_b_gate(params: IsingParams, schedule: TrotterSchedule) -> float:
@@ -344,40 +359,6 @@ def expectation_b_gate(params: IsingParams, schedule: TrotterSchedule) -> float:
     the quadratic form.
     """
     return 0.5 * (1.0 - measure_ym(run_circuit(params, schedule)))
-
-
-# ---------------------------------------------------------------------------
-# Dense helpers for verification
-# ---------------------------------------------------------------------------
-
-def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:
-    """Exact basis permutation of an X/CX-only program: index -> image."""
-    img = np.arange(1 << n_qubits, dtype=np.int64)
-    for gate in program.gates:
-        if gate.kind not in ("X", "CX"):
-            raise ValueError(f"{gate.kind} is not a permutation gate")
-        bit = 1 << (n_qubits - 1 - gate.qubits[0])
-        if gate.kind == "X":
-            img ^= bit
-        else:
-            mask = 0
-            for c in gate.controls:
-                mask |= 1 << (n_qubits - 1 - c)
-            hot = (img & mask) == mask
-            img[hot] ^= bit
-    return img
-
-
-def program_unitary(program: GateProgram, n_qubits: int) -> np.ndarray:
-    """Dense matrix of a program (small registers only)."""
-    dim = 1 << n_qubits
-    mat = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        reg = CompressedRegister(m=n_qubits - 2, amplitudes=np.zeros(dim, dtype=complex))
-        reg.amplitudes[col] = 1.0
-        apply_program(reg, program)
-        mat[:, col] = reg.amplitudes
-    return mat
 
 
 # ---------------------------------------------------------------------------

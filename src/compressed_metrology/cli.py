@@ -35,6 +35,11 @@ FLATNESS_WINDOW_M = 0.10
 SCHEMA_VERSION = 1
 # Config keys whose flags take comma-separated lists, with their element type.
 _LIST_KEYS = {"n": int, "n_magnetization": int, "g": float, "window": float}
+# Config keys whose flags take one value, with its type.
+_SCALAR_KEYS = {"b": float, "j": float, "shots": int, "reps": int, "seed": int,
+                "t_total": float, "l_steps": int, "c_t": float, "c_l": float, "l_cap": int,
+                "analytic_tol": float, "error_budget": float, "format": str, "out": str}
+_TYPE_NAMES = {int: "an int", float: "a float", str: "a string"}
 
 
 def _fmt12(x: float) -> str:
@@ -62,18 +67,32 @@ def _floats(text: str) -> list[float]:
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, strict about unknown config keys."""
+    """flags > config file > defaults, strict about unknown keys, value types and empty --g.
+
+    A config value of null stands for the default only where the default is null.
+    """
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            _usage_error(f"--config: {exc}")
+        if not isinstance(file_cfg, dict):
+            _usage_error(f"--config must hold a JSON object, got {json.dumps(file_cfg)}")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            _usage_error(f"unknown config keys: {sorted(unknown)}")
         for key, val in file_cfg.items():
-            kind = _LIST_KEYS.get(key)
-            if kind and val is not None and not _is_list_of(val, kind):
-                _usage_error(f"config key {key!r} must be a list of {kind.__name__}s, "
+            if val is None and defaults[key] is None:
+                continue
+            if key in _LIST_KEYS:
+                kind = _LIST_KEYS[key]
+                if not (isinstance(val, list) and all(_is_a(v, kind) for v in val)):
+                    _usage_error(f"config key {key!r} must be a list of {kind.__name__}s, "
+                                 f"got {json.dumps(val)}")
+            elif not _is_a(val, _SCALAR_KEYS[key]):
+                _usage_error(f"config key {key!r} must be {_TYPE_NAMES[_SCALAR_KEYS[key]]}, "
                              f"got {json.dumps(val)}")
     resolved = {}
     for key, default in defaults.items():
@@ -81,13 +100,16 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         if val is None:
             val = file_cfg.get(key, default)
         resolved[key] = val
+    if "g" in resolved and not resolved["g"]:
+        _usage_error(f"{args.command} needs a nonempty --g list")
     return resolved
 
 
-def _is_list_of(val, kind: type) -> bool:
+def _is_a(val, kind: type) -> bool:
+    if kind is str:
+        return isinstance(val, str)
     numbers = (int,) if kind is int else (int, float)
-    return isinstance(val, list) and all(
-        isinstance(v, numbers) and not isinstance(v, bool) for v in val)
+    return isinstance(val, numbers) and not isinstance(val, bool)
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -151,8 +173,6 @@ def _sweep_row(task: tuple[int, float]) -> tuple:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {"n": [4, 8, 16], "g": None, "format": "csv", "out": None})
     out = cfg.pop("out")
-    if not cfg["g"]:
-        raise SystemExit("sweep needs a nonempty --g list")
     _check_sizes(cfg["n"], curves=True, chain=False)
     tasks = sorted((n, g) for n in cfg["n"] for g in cfg["g"])
     workers = int(os.environ.get("CMETRO_WORKERS", "1"))
@@ -277,7 +297,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
     if sizes[-1] > 8:
-        raise SystemExit("compare runs the gate/dense legs; N <= 8 required")
+        _usage_error("compare runs the gate/dense legs; N <= 8 required")
     schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
     failures = []
     rows = []
@@ -315,17 +335,15 @@ def estimation_run(
     window: tuple[float, float],
     coupling_j: float = 1.0,
 ) -> dict:
-    """Circuit -> shots -> calibration inversion, repeated; shared with tests."""
+    """Circuit once -> +1 count per repetition -> one inversion per distinct count.
+
+    Repetition r gets the bits of ``estimate_g(sample_ym(reg, shots, seed_r))``.
+    """
     params = ising.IsingParams(n, field_b=g_star * coupling_j, coupling_j=coupling_j)
     reg = circuit.run_circuit(params, schedule)
     rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    estimates = np.empty(reps)
-    clamped = 0
-    for r in range(reps):
-        samples = circuit.sample_ym(reg, shots, int(rep_seeds[r]))
-        est = metrology.estimate_g(samples, n, window=window)
-        estimates[r] = est.g_hat
-        clamped += est.clamped
+    counts = circuit.count_ym(reg, shots, rep_seeds)
+    estimates, clamped = metrology.estimate_counts(counts, shots, n, window=window)
     sq_errors = (estimates - g_star) ** 2
     mse = float(np.mean(sq_errors))
     predicted = metrology.precision_b(g_star, n, shots).delta_g_sq
@@ -342,7 +360,7 @@ def estimation_run(
         "mse_std_error": float(np.std(sq_errors) / math.sqrt(reps)),
         "predicted_delta_g_sq": predicted,
         "mse_over_prediction": mse / predicted,
-        "clamped_reps": int(clamped),
+        "clamped_reps": int(clamped.sum()),
     }
     if n <= 10:
         out["cramer_rao_bound"] = metrology.cramer_rao(ising.qfi(g_star, n), shots)
@@ -359,7 +377,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         cfg["g"] = [cfg["b"] / cfg["j"]]
     out = cfg.pop("out")
     if cfg["seed"] is None:
-        raise SystemExit("--seed is mandatory for stochastic commands")
+        _usage_error("--seed is mandatory for stochastic commands")
+    if cfg["seed"] < 0:
+        _usage_error(f"--seed must be nonnegative, got {cfg['seed']}")
     if cfg["shots"] < 1:
         _usage_error(f"--shots must be at least 1, got {cfg['shots']}")
     if cfg["reps"] < 1:
@@ -438,7 +458,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=False, chain=True)
     if sizes[-1] > 10:
-        raise SystemExit("oracle is capped at N <= 10")
+        _usage_error("oracle is capped at N <= 10")
     schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
     rows = []
     for n, schedule in schedules:

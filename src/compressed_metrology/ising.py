@@ -54,18 +54,6 @@ class IsingParams:
         return self.field_b / self.coupling_j
 
 
-@dataclass(frozen=True)
-class ModeData:
-    """Momentum, Bogoliubov angle and quasiparticle energy of one fermion mode."""
-
-    mode_index: int
-    xi: float
-    cos_theta: float
-    sin_theta: float
-    energy: float
-    singular: bool = False
-
-
 def mode_xi(n_spins: int, j: int) -> float:
     return 2.0 * math.pi * j / n_spins
 
@@ -95,10 +83,6 @@ def bogoliubov_angle(params: IsingParams, j: int) -> tuple[float, float]:
     return (g - math.cos(xi)) / root, -math.sin(xi) / root
 
 
-def is_singular_mode(params: IsingParams, j: int) -> bool:
-    return _radicand(params.g, mode_xi(params.n_spins, j)) < SINGULAR_RADICAND
-
-
 def mode_energy(params: IsingParams, j: int) -> float:
     """Quasiparticle energy 2*sqrt(J^2 + B^2 - 2 J B cos xi_j).
 
@@ -110,18 +94,6 @@ def mode_energy(params: IsingParams, j: int) -> float:
     xi = mode_xi(params.n_spins, j)
     b, j_ = params.field_b, params.coupling_j
     return 2.0 * math.sqrt(max(j_ * j_ + b * b - 2.0 * j_ * b * math.cos(xi), 0.0))
-
-
-def mode_data(params: IsingParams, j: int) -> ModeData:
-    cos_t, sin_t = bogoliubov_angle(params, j)
-    return ModeData(
-        mode_index=j,
-        xi=mode_xi(params.n_spins, j),
-        cos_theta=cos_t,
-        sin_theta=sin_t,
-        energy=mode_energy(params, j),
-        singular=is_singular_mode(params, j),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 The estimator is calibration-curve inversion of the shot mean (method of
 moments): its asymptotic variance is exactly the error-propagation ratio
 Var[A] / (nu |d<A>/dg|^2), which is what the scaling statements quantify.
+A shot mean is fixed by its count of +1 outcomes, so ``estimate_counts``
+inverts the curve once per distinct count over a batch of repetitions.
 """
 
 from __future__ import annotations
@@ -139,6 +141,29 @@ def invert_expected_b(
     return 0.5 * (a + b), False
 
 
+def _b_hat(count: int, shots: int) -> float:
+    """(1 - mean)/2 for ``count`` +1 outcomes among ``shots`` +-1 samples; the +-1 sum
+    2 count - shots is an exact integer, so these are the bits of the shot mean's."""
+    return 0.5 * (1.0 - float(2 * count - shots) / shots)
+
+
+def estimate_counts(
+    counts: Sequence[int] | np.ndarray,
+    shots: int,
+    n_spins: int,
+    window: tuple[float, float] = (0.5, 1.5),
+    tol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_g``'s (g_hat, clamped) per repetition from its count of +1 outcomes,
+    inverting the calibration curve once per distinct count."""
+    counts = np.asarray(counts, dtype=np.int64).tolist()
+    if shots < 1 or not all(0 <= k <= shots for k in counts):
+        raise ValueError(f"counts must lie in [0, shots] with shots >= 1, got shots={shots}")
+    inverted = {k: invert_expected_b(_b_hat(k, shots), n_spins, window, tol) for k in set(counts)}
+    return (np.array([inverted[k][0] for k in counts], dtype=float),
+            np.array([inverted[k][1] for k in counts], dtype=bool))
+
+
 def estimate_g(
     samples: Sequence[int] | np.ndarray,
     n_spins: int,
@@ -157,8 +182,8 @@ def estimate_g(
         raise ValueError("need at least one sample")
     if not np.all(np.abs(samples) == 1):
         raise ValueError("samples must be +-1 valued")
-    b_hat = 0.5 * (1.0 - float(samples.mean()))
     shots = int(samples.size)
+    b_hat = _b_hat(int(np.count_nonzero(samples == 1)), shots)
     g_hat, clamped = invert_expected_b(b_hat, n_spins, window, tol)
     deriv = ising.expected_b_derivative(g_hat, n_spins)
     std_error = math.sqrt(max(b_hat * (1.0 - b_hat), 0.0) / shots) / abs(deriv)
@@ -173,18 +198,3 @@ def cramer_rao(qfi: float, shots: int = 1) -> float:
     if shots < 1:
         raise ValueError("need at least one shot")
     return 1.0 / (shots * qfi)
-
-
-def sequential_reference(total_time: float, shots: int = 1) -> dict[str, float]:
-    """Two-qubit sequential-scheme reference bound on delta J^2.
-
-    Two conventions circulate for the repetition scaling of this bound,
-    (nu T)^-2 and the single-pass Heisenberg form 1/(nu T^2); both are
-    returned, labeled, with neither adjudicated.
-    """
-    if total_time <= 0.0 or shots < 1:
-        raise ValueError("need positive time and at least one shot")
-    return {
-        "nu_t_inverse_squared": 1.0 / (shots * total_time) ** 2,
-        "per_shot_t_squared": 1.0 / (shots * total_time**2),
-    }

@@ -19,6 +19,7 @@ from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.cli import estimation_run
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import direct_rotation
+from support import program_permutation
 
 
 def _report(capsys, criterion: str, ok: bool, elapsed: float, detail: str) -> None:
@@ -218,7 +219,7 @@ def test_criterion_7_structural_exactness(capsys):
     shift_exact = True
     for m in range(1, 6):
         program = circuit.decompose_shift(m)
-        img = circuit.program_permutation(program, m + 1)
+        img = program_permutation(program, m + 1)
         dim = 1 << (m + 1)
         shift_exact &= np.array_equal(img, (np.arange(dim) + 1) % dim)
         shift_exact &= len(program.gates) == m + 1

@@ -19,8 +19,6 @@ from compressed_metrology.circuit import (
     initial_state,
     measure_ym,
     parse_program,
-    program_permutation,
-    program_unitary,
     run_circuit,
     s1_aux_gates,
     sample_ym,
@@ -28,6 +26,7 @@ from compressed_metrology.circuit import (
 )
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import r0_rotation, r1_rotation, shift_matrix
+from support import program_permutation, program_unitary
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -289,6 +288,18 @@ class TestMeasurement:
         second = sample_ym(reg, shots=1000, seed=42)
         assert np.array_equal(first, second)
         assert not np.array_equal(first, sample_ym(reg, shots=1000, seed=43))
+
+    def test_counts_match_samples(self):
+        reg = run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16))
+        seeds = np.random.default_rng(5).integers(0, 2**63, size=20)
+        for shots in (1, 7, 1000):
+            counts = circuit.count_ym(reg, shots, seeds)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [int((sample_ym(reg, shots, int(s)) == 1).sum())
+                                       for s in seeds]
+        assert circuit.count_ym(initial_state(2), 500, [11, 12]).tolist() == [500, 500]
+        with pytest.raises(ValueError):
+            circuit.count_ym(reg, 0, seeds)
 
     def test_sampling_concentration(self):
         reg = initial_state(1)

@@ -18,6 +18,15 @@ def run(tmp_path, *argv, out_name="out"):
     return code, out.read_bytes()
 
 
+def assert_usage_error(capsys, argv, message):
+    """Exit 2 with one stderr line that carries ``message``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 class TestSweep:
     def test_matches_csv_golden(self, tmp_path):
         code, data = run(tmp_path, "sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "csv")
@@ -46,8 +55,8 @@ class TestSweep:
         assert "0.853553390593" in line
 
     def test_empty_g_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--n", "4", "--g", ""])
+        assert_usage_error(capsys, ["sweep", "--n", "4", "--g", ""],
+                           "sweep needs a nonempty --g list")
 
     def test_worker_pool_is_output_invariant(self, tmp_path):
         _, serial = run(tmp_path, "sweep", "--n", "4,8,16", "--g", "0.5,1.0,1.5")
@@ -72,11 +81,11 @@ class TestConfigPrecedence:
         assert payload["config"]["format"] == "json"  # config file wins over default
         assert payload["config"]["n"] == [4]
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit, match="unknown config keys"):
-            main(["sweep", "--g", "1.0", "--config", str(cfg)])
+        assert_usage_error(capsys, ["sweep", "--g", "1.0", "--config", str(cfg)],
+                           "unknown config keys")
 
 
 class TestUsageErrors:
@@ -101,23 +110,16 @@ class TestUsageErrors:
                              (dense, "ground_state_even")):
             monkeypatch.setattr(module, name, not_reached)
 
-    def usage_error(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
-
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate"])
     def test_size_below_curve_minimum(self, capsys, command):
-        self.usage_error(capsys, [*self.BASE[command], "--n", "2"],
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "2"],
                          "--n: mode-1 observables need even N >= 4, got 2")
 
     @pytest.mark.parametrize("command", ["compare", "estimate", "dump", "oracle"])
     @pytest.mark.parametrize("flag,value", [("--l-steps", "0"), ("--t-total", "0"),
                                             ("--t-total", "-2.5")])
     def test_nonpositive_schedule(self, capsys, command, flag, value):
-        self.usage_error(capsys, [*self.BASE[command], "--n", "4", flag, value],
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", flag, value],
                          "schedule needs positive total_time and steps")
 
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "dump",
@@ -125,8 +127,40 @@ class TestUsageErrors:
     def test_scalar_for_list_in_config(self, tmp_path, capsys, command):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 4}))
-        self.usage_error(capsys, [*self.BASE[command], "--config", str(cfg)],
-                         "config key 'n' must be a list of ints, got 4")
+        assert_usage_error(capsys, [*self.BASE[command], "--config", str(cfg)],
+                           "config key 'n' must be a list of ints, got 4")
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "oracle"])
+    def test_empty_g(self, capsys, command):
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--g", ""],
+                           f"{command} needs a nonempty --g list")
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("estimate", "shots", "10", "config key 'shots' must be an int, got \"10\""),
+        ("estimate", "reps", 2.5, "config key 'reps' must be an int, got 2.5"),
+        ("estimate", "seed", True, "config key 'seed' must be an int, got true"),
+        ("estimate", "window", None, "config key 'window' must be a list of floats, got null"),
+        ("compare", "t_total", "160", "config key 't_total' must be a float, got \"160\""),
+        ("dump", "b", [1.0], "config key 'b' must be a float, got [1.0]"),
+        ("sweep", "format", 1, "config key 'format' must be a string, got 1"),
+        ("oracle", "l_cap", 1e6, "config key 'l_cap' must be an int, got 1000000.0"),
+    ])
+    def test_wrong_scalar_type_in_config(self, tmp_path, capsys, command, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--config", str(cfg)],
+                           message)
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "--config: [Errno 2] No such file or directory"),
+        ("{", "--config: Expecting property name"),
+        ("[1, 2]", "--config must hold a JSON object, got [1, 2]"),
+    ])
+    def test_unreadable_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
 
 
 class TestScaling:
@@ -158,20 +192,26 @@ class TestCompare:
         assert code == 1 and not payload["passed"]
         assert any("analytic delta" in f for f in payload["failures"])
 
-    def test_large_size_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="N <= 8"):
-            main(["compare", "--n", "16", "--g", "1.0"])
+    def test_large_size_rejected(self, capsys):
+        assert_usage_error(capsys, ["compare", "--n", "16", "--g", "1.0"],
+                           "compare runs the gate/dense legs; N <= 8 required")
 
 
 class TestEstimate:
     ARGS = ("estimate", "--n", "4", "--g", "1.0", "--l-steps", "2048",
             "--shots", "2000", "--reps", "50", "--seed", "7")
 
-    def test_seed_required(self):
-        with pytest.raises(SystemExit, match="seed"):
-            main(["estimate", "--n", "4", "--g", "1.0", "--l-steps", "8"])
+    def test_seed_required(self, capsys):
+        assert_usage_error(capsys, ["estimate", "--n", "4", "--g", "1.0", "--l-steps", "8"],
+                           "--seed is mandatory for stochastic commands")
+
+    def test_matches_golden(self, tmp_path):
+        code, data = run(tmp_path, *self.ARGS)
+        assert code == 0
+        assert data == (GOLDEN / "estimate.json").read_bytes()
 
     @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "--seed must be nonnegative, got -1"),
         ("--shots", "0", "--shots must be at least 1"),
         ("--reps", "0", "--reps must be at least 1"),
         ("--window", "1.5,0.5", "--window must be lo,hi with lo < hi"),
@@ -181,11 +221,7 @@ class TestEstimate:
             raise AssertionError("the circuit ran before the inputs were checked")
 
         monkeypatch.setattr(circuit, "run_circuit", not_reached)
-        with pytest.raises(SystemExit) as exc:
-            main([*self.ARGS, flag, value])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and message in err
+        assert_usage_error(capsys, [*self.ARGS, flag, value], message)
 
     def test_reproducible_byte_identical(self, tmp_path):
         code1, first = run(tmp_path, *self.ARGS)
@@ -240,6 +276,6 @@ class TestOracle:
         _, data = run(tmp_path, "oracle", "--n", "4", "--g", "1e7", "--l-steps", "64")
         assert json.loads(data)["rows"][0]["expected_m"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_size_cap(self):
-        with pytest.raises(SystemExit, match="N <= 10"):
-            main(["oracle", "--n", "16", "--g", "1.0"])
+    def test_size_cap(self, capsys):
+        assert_usage_error(capsys, ["oracle", "--n", "16", "--g", "1.0"],
+                           "oracle is capped at N <= 10")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from compressed_metrology import dense, ising
 from compressed_metrology.ising import IsingParams
+from support import is_singular_mode, mode_data
 
 
 def central_diff(fn, x, step=1e-6):
@@ -65,14 +66,14 @@ class TestBogoliubovAngle:
 
     def test_singular_point_convention(self):
         p = IsingParams(4, field_b=1.0, coupling_j=1.0)
-        assert ising.is_singular_mode(p, 0)
-        assert not ising.is_singular_mode(p, 1)
+        assert is_singular_mode(p, 0)
+        assert not is_singular_mode(p, 1)
         assert ising.bogoliubov_angle(p, 0) == (1.0, 0.0)
-        assert ising.mode_data(p, 0).singular
+        assert mode_data(p, 0).singular
 
     def test_mode_data_bundle(self):
         p = IsingParams(8, field_b=2.0, coupling_j=1.0)
-        data = ising.mode_data(p, 3)
+        data = mode_data(p, 3)
         assert data.mode_index == 3
         assert data.xi == pytest.approx(3.0 * math.pi / 4.0)
         assert (data.cos_theta, data.sin_theta) == ising.bogoliubov_angle(p, 3)

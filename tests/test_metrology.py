@@ -4,20 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compressed_metrology import dense, ising
+from compressed_metrology import circuit, dense, ising
+from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.metrology import (
     cramer_rao,
     error_propagation,
+    estimate_counts,
     estimate_g,
     fit_power_law,
     fit_scaling,
     invert_expected_b,
     precision_b,
     precision_m,
-    sequential_reference,
 )
+from support import sequential_reference
 
 
 class TestErrorPropagation:
@@ -170,6 +174,43 @@ class TestEstimateG:
             ising.expected_b_derivative(est.g_hat, 16)
         )
         assert est.std_error == pytest.approx(expected_se, rel=1e-12)
+
+
+class TestEstimateCounts:
+    """The batched count path against one ``estimate_g(sample_ym(...))`` per repetition."""
+
+    @given(g=st.floats(0.3, 2.0), shots=st.integers(1, 2000),
+           seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50),
+           center=st.floats(0.5, 1.5), half_width=st.sampled_from([1e-3, 0.02, 0.1, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_rep_estimate(self, g, shots, seeds, center, half_width):
+        # Narrow windows around a center away from g clamp most repetitions.
+        n_spins = 4
+        reg = circuit.run_circuit(IsingParams(n_spins, field_b=g, coupling_j=1.0),
+                                  TrotterSchedule(total_time=10.0, steps=32))
+        window = (center - half_width, center + half_width)
+        g_hat, clamped = estimate_counts(circuit.count_ym(reg, shots, seeds), shots, n_spins,
+                                         window=window)
+        expected = [estimate_g(circuit.sample_ym(reg, shots, s), n_spins, window=window)
+                    for s in seeds]
+        assert g_hat.tolist() == [est.g_hat for est in expected]
+        assert clamped.tolist() == [est.clamped for est in expected]
+
+    def test_float_samples_give_the_same_estimate(self):
+        ints = np.array([1, -1, 1, 1, -1, 1, 1])
+        assert estimate_g(ints, 16) == estimate_g(ints.astype(float), 16)
+        g_hat, clamped = estimate_counts([5], 7, 16)
+        assert (g_hat[0], clamped[0]) == (estimate_g(ints, 16).g_hat, False)
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            estimate_counts([3], 2, 16)
+        with pytest.raises(ValueError):
+            estimate_counts([-1], 2, 16)
+        with pytest.raises(ValueError):
+            estimate_counts([0], 0, 16)
+        with pytest.raises(ValueError):
+            estimate_counts([1], 2, 16, window=(1.5, 0.5))
 
 
 class TestBounds:
