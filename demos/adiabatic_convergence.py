@@ -6,8 +6,10 @@ Demonstrates:
 2. the squared overlap with the exact even-parity ground state,
 3. the residual floor set by the finite duration T itself.
 
-The first-order product's state error is O(Delta): 1 - overlap^2 falls ~4x
-per doubling of L, and the bias (~Delta^2) settles at the floor of T = 160.
+Both misses are set by the step Delta, not accumulated over the run.  The
+overlap loss is the product's trailing half field step, so 1 - overlap^2
+falls ~4x per doubling of L; the bias is the Delta^2 shift of the one-step
+Floquet ground state and settles at the floor of T = 160.
 
 Run with: python3 demos/adiabatic_convergence.py
 """
@@ -36,7 +38,8 @@ def main():
         print(f"{steps:7d} {adiabatic.trotter_error_bound(sch):10.3f} "
               f"{bias:15.3e} {1.0 - overlap:14.3e}")
 
-    print("\n1 - overlap^2 falls ~4x per doubling of L: first-order Trotter error.")
+    print("\n1 - overlap^2 falls ~4x per doubling of L: the trailing half field step.")
+    print("Above the floor the bias falls as Delta^2: the one-step Floquet ground state shift.")
     print("Past L ~ 16k the bias flattens near 2.9e-4: that is the adiabatic")
     print("floor of T = 160 itself, not a Trotter artifact (it shrinks with T).")
 

@@ -40,12 +40,9 @@ from .ising import (
 )
 from .matchgate import (
     QuadraticObservable,
-    exp_generator,
     expectation_quadratic,
-    expectation_z0,
     majorana_two_point,
     observable_b_coefficients,
-    vacuum_covariance,
 )
 from .metrology import (
     GEstimate,

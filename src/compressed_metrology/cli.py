@@ -136,6 +136,14 @@ def _check_sizes(sizes: list[int], *, curves: bool, chain: bool) -> None:
             _usage_error(f"--n: {exc}")
 
 
+def _apply_b_override(cfg: dict) -> None:
+    """--b with --j replaces the --g list by B/J; g is undefined at J = 0."""
+    if cfg["j"] == 0:
+        _usage_error(f"--j must be nonzero (g = B/J), got {cfg['j']}")
+    if cfg["b"] is not None:
+        cfg["g"] = [cfg["b"] / cfg["j"]]
+
+
 def _schedule_from(cfg: dict, n_spins: int) -> adiabatic.TrotterSchedule:
     try:
         return adiabatic.build_schedule(
@@ -159,6 +167,7 @@ def _schedule_meta(sch: adiabatic.TrotterSchedule) -> dict:
 # sweep
 # ---------------------------------------------------------------------------
 
+_SWEEP_FORMATS = ("csv", "json")
 _SWEEP_COLUMNS = ("n", "g", "expected_b", "expected_b_deriv", "variance_b",
                   "expected_m", "expected_m_deriv", "variance_m")
 
@@ -173,6 +182,9 @@ def _sweep_row(task: tuple[int, float]) -> tuple:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {"n": [4, 8, 16], "g": None, "format": "csv", "out": None})
     out = cfg.pop("out")
+    if cfg["format"] not in _SWEEP_FORMATS:
+        _usage_error(f"format must be one of {', '.join(_SWEEP_FORMATS)}, "
+                     f"got {json.dumps(cfg['format'])}")
     _check_sizes(cfg["n"], curves=True, chain=False)
     tasks = sorted((n, g) for n in cfg["n"] for g in cfg["g"])
     workers = int(os.environ.get("CMETRO_WORKERS", "1"))
@@ -291,8 +303,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
         "analytic_tol": None, "out": None,
     })
-    if cfg["b"] is not None:
-        cfg["g"] = [cfg["b"] / cfg["j"]]
+    _apply_b_override(cfg)
     out = cfg.pop("out")
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
@@ -373,8 +384,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
         "window": [0.5, 1.5], "error_budget": None, "out": None,
     })
-    if cfg["b"] is not None:
-        cfg["g"] = [cfg["b"] / cfg["j"]]
+    _apply_b_override(cfg)
     out = cfg.pop("out")
     if cfg["seed"] is None:
         _usage_error("--seed is mandatory for stochastic commands")
@@ -512,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="analytic observable curves over (N, g) grids")
     common(p_sweep, schedule=False)
-    p_sweep.add_argument("--format", choices=("csv", "json"))
+    p_sweep.add_argument("--format", choices=_SWEEP_FORMATS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_scaling = sub.add_parser("scaling", help="precision-scaling fits and windows")

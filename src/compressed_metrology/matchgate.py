@@ -35,50 +35,6 @@ class QuadraticObservable:
         return self.coeffs.shape[0]
 
 
-def vacuum_covariance(n_modes: int) -> np.ndarray:
-    """S with S_{jk} = <0..0| -i x_j x_k |0..0> off the diagonal: 1_N (x) iY."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    cov = np.zeros((2 * n_modes, 2 * n_modes))
-    even = np.arange(0, 2 * n_modes, 2)
-    cov[even, even + 1] = 1.0
-    cov[even + 1, even] = -1.0
-    return cov
-
-
-def _is_cell_block(h: np.ndarray) -> bool:
-    mask = np.zeros(h.shape, dtype=bool)
-    even = np.arange(0, h.shape[0], 2)
-    mask[even, even + 1] = True
-    mask[even + 1, even] = True
-    return not h[~mask].any()
-
-
-def exp_generator(h: np.ndarray) -> np.ndarray:
-    """R = exp(4h) for a real antisymmetric generator h.
-
-    Generators supported on the (2j, 2j+1) cells exponentiate in closed form
-    as independent planar rotations; anything else falls back to
-    scaling-and-squaring (scipy's expm).
-    """
-    h = np.asarray(h, dtype=float)
-    _check_even_square(h, "h")
-    if (h != -h.T).any():
-        raise ValueError("generator must be exactly antisymmetric")
-    if _is_cell_block(h):
-        even = np.arange(0, h.shape[0], 2)
-        angles = 4.0 * h[even, even + 1]
-        rot = np.zeros_like(h)
-        rot[even, even] = np.cos(angles)
-        rot[even + 1, even + 1] = np.cos(angles)
-        rot[even, even + 1] = np.sin(angles)
-        rot[even + 1, even] = -np.sin(angles)
-        return rot
-    from scipy.linalg import expm
-
-    return expm(4.0 * h)
-
-
 def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float = 1e-8) -> None:
     """Raise unless rot is special orthogonal within the stated tolerances."""
     dim = _check_even_square(rot, "rotation")
@@ -88,23 +44,6 @@ def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float
     sign, logdet = np.linalg.slogdet(rot)
     if sign <= 0 or abs(logdet) > det_tol:
         raise ValueError(f"determinant not +1 (sign {sign}, |log det| {abs(logdet):.3e})")
-
-
-def conjugate_modes(rot: np.ndarray, j: int) -> np.ndarray:
-    """Row j of R: the coefficients of U^dag x_j U = sum_k R_{jk} x_k."""
-    dim = _check_even_square(rot, "rotation")
-    if not 0 <= j < dim:
-        raise IndexError(f"mode index {j} out of range for dim {dim}")
-    return rot[j].copy()
-
-
-def expectation_z0(rot: np.ndarray) -> float:
-    """<Z_0> = [R S R^T]_{0,1} of the evolved vacuum; stays in [-1, 1]."""
-    dim = _check_even_square(rot, "rotation")
-    if dim < 2:
-        raise ValueError("need dim >= 2")
-    even = np.arange(0, dim, 2)
-    return float(np.sum(rot[0, even] * rot[1, even + 1] - rot[0, even + 1] * rot[1, even]))
 
 
 def majorana_two_point(rot: np.ndarray) -> np.ndarray:

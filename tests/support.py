@@ -4,7 +4,12 @@
 the dense matrix of a gate program, through the gate interpreter;
 ``mode_data`` bundles one fermion mode's closed-form quantities;
 ``sequential_reference`` is the two-qubit sequential scheme's bound that the
-compressed protocol is compared with.
+compressed protocol is compared with.  ``hamiltonian_from_strings`` and
+``trotter_evolve_stepwise`` are the dense oracle's plain forms (one bond
+string and one step at a time) that ``dense.build_hamiltonian`` and
+``dense.trotter_evolve`` must equal bit for bit.  ``exp_generator``,
+``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
+matchgate engine's generator exponential and vacuum algebra.
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from compressed_metrology import ising
+from compressed_metrology import dense, ising
+from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.circuit import CompressedRegister, GateProgram, apply_program
 from compressed_metrology.ising import IsingParams
+from compressed_metrology.matchgate import _check_even_square
 
 
 def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:
@@ -90,3 +97,100 @@ def sequential_reference(total_time: float, shots: int = 1) -> dict[str, float]:
         "nu_t_inverse_squared": 1.0 / (shots * total_time) ** 2,
         "per_shot_t_squared": 1.0 / (shots * total_time**2),
     }
+
+
+def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:
+    """Dense H(J, B), subtracting each bond string and the field from a zero matrix in turn."""
+    n = params.n_spins
+    dense._check_operator_size(n)
+    dim = 1 << n
+    ham = np.zeros((dim, dim), dtype=complex)
+    for j in range(n - 1):
+        ham -= params.coupling_j * dense.pauli_string(n, {j: "X", j + 1: "X"})
+    boundary = {0: "Y", n - 1: "Y"} | {k: "Z" for k in range(1, n - 1)}
+    ham -= params.coupling_j * dense.pauli_string(n, boundary)
+    field = params.field_b * (dense.popcounts(n) * (-2.0) + n)
+    ham -= np.diag(field.astype(complex))
+    return ham
+
+
+def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
+    """The digital-adiabatic product on |0..0>, exponentiating each step's phases on its own."""
+    n = params.n_spins
+    if n > dense._MAX_EVOLVE_SPINS:
+        raise ValueError(f"dense evolution capped at N={dense._MAX_EVOLVE_SPINS}, got {n}")
+    dim = 1 << n
+    # H0 = sum_j Z_j is diagonal; H1 is eigen-decomposed once and re-phased per step.
+    h0_diag = n - 2.0 * dense.popcounts(n)
+    h1 = dense.build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))  # = +sum XX
+    w1, v1 = np.linalg.eigh(h1)
+    state = np.zeros(dim, dtype=complex)
+    state[0] = 1.0
+    delta = schedule.delta
+    u0 = np.exp(1j * params.field_b * delta * h0_diag)
+    for l in range(schedule.steps + 1):
+        state = u0 * state
+        phases = np.exp(1j * params.coupling_j * schedule.tau(l) / 2.0 * w1)
+        state = v1 @ (phases * (v1.conj().T @ state))
+    return state
+
+
+def vacuum_covariance(n_modes: int) -> np.ndarray:
+    """S with S_{jk} = <0..0| -i x_j x_k |0..0> off the diagonal: 1_N (x) iY."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be >= 1")
+    cov = np.zeros((2 * n_modes, 2 * n_modes))
+    even = np.arange(0, 2 * n_modes, 2)
+    cov[even, even + 1] = 1.0
+    cov[even + 1, even] = -1.0
+    return cov
+
+
+def _is_cell_block(h: np.ndarray) -> bool:
+    mask = np.zeros(h.shape, dtype=bool)
+    even = np.arange(0, h.shape[0], 2)
+    mask[even, even + 1] = True
+    mask[even + 1, even] = True
+    return not h[~mask].any()
+
+
+def exp_generator(h: np.ndarray) -> np.ndarray:
+    """R = exp(4h) for a real antisymmetric generator h.
+
+    Generators supported on the (2j, 2j+1) cells exponentiate in closed form
+    as independent planar rotations; anything else falls back to
+    scaling-and-squaring (scipy's expm).
+    """
+    h = np.asarray(h, dtype=float)
+    _check_even_square(h, "h")
+    if (h != -h.T).any():
+        raise ValueError("generator must be exactly antisymmetric")
+    if _is_cell_block(h):
+        even = np.arange(0, h.shape[0], 2)
+        angles = 4.0 * h[even, even + 1]
+        rot = np.zeros_like(h)
+        rot[even, even] = np.cos(angles)
+        rot[even + 1, even + 1] = np.cos(angles)
+        rot[even, even + 1] = np.sin(angles)
+        rot[even + 1, even] = -np.sin(angles)
+        return rot
+    from scipy.linalg import expm
+
+    return expm(4.0 * h)
+
+
+def conjugate_modes(rot: np.ndarray, j: int) -> np.ndarray:
+    """Row j of R: the coefficients of U^dag x_j U = sum_k R_{jk} x_k."""
+    dim = _check_even_square(rot, "rotation")
+    if not 0 <= j < dim:
+        raise IndexError(f"mode index {j} out of range for dim {dim}")
+    return rot[j].copy()
+
+
+def expectation_z0(rot: np.ndarray) -> float:
+    """<Z_0> = [R S R^T]_{0,1} of the evolved vacuum; stays in [-1, 1]."""
+    dim = _check_even_square(rot, "rotation")
+    if dim < 2:
+        raise ValueError("need dim >= 2")
+    even = np.arange(0, dim, 2)
+    return float(np.sum(rot[0, even] * rot[1, even + 1] - rot[0, even + 1] * rot[1, even]))

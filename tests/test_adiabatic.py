@@ -25,6 +25,7 @@ from rotation_oracle import (
     r1_rotation,
     shift_matrix,
 )
+from support import exp_generator
 
 
 class TestSchedule:
@@ -101,7 +102,7 @@ class TestGenerators:
 
     def test_quarter_turn_block(self):
         # exp(4 c h0) rotates every cell by 2c: a quarter turn at c = pi/4
-        rot = matchgate.exp_generator(np.pi / 4.0 * h0_generator(2))
+        rot = exp_generator(np.pi / 4.0 * h0_generator(2))
         expected = block_rotation(2, np.pi / 2.0)
         assert np.abs(rot - expected).max() < 1e-15
 

@@ -151,6 +151,24 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--config", str(cfg)],
                            message)
 
+    def test_unknown_format_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        assert_usage_error(capsys, [*self.BASE["sweep"], "--n", "4", "--config", str(cfg)],
+                           'format must be one of csv, json, got "xml"')
+
+    @pytest.mark.parametrize("command", ["compare", "estimate"])
+    @pytest.mark.parametrize("extra", [["--b", "1.0"], []])
+    def test_zero_coupling(self, capsys, command, extra):
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", *extra, "--j", "0"],
+                           "--j must be nonzero (g = B/J), got 0.0")
+
+    def test_zero_coupling_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"b": 1.0, "j": 0}))
+        assert_usage_error(capsys, [*self.BASE["compare"], "--n", "4", "--config", str(cfg)],
+                           "--j must be nonzero (g = B/J), got 0")
+
     @pytest.mark.parametrize("text,message", [
         (None, "--config: [Errno 2] No such file or directory"),
         ("{", "--config: Expecting property name"),

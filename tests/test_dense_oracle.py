@@ -6,6 +6,13 @@ import pytest
 from compressed_metrology import adiabatic, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
+from support import hamiltonian_from_strings, trotter_evolve_stepwise
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    # Byte equality also pins the signs of zeros, which eigh's Householder steps read.
+    assert np.array_equal(actual, expected)
+    assert actual.dtype == expected.dtype and actual.tobytes() == expected.tobytes()
 
 
 class TestHamiltonian:
@@ -43,6 +50,30 @@ class TestHamiltonian:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             dense.build_hamiltonian(IsingParams(8192, field_b=1.0, coupling_j=1.0))
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    def test_equals_string_by_string_build(self, n_spins):
+        # At N = 2 the bond X_0 X_1 and the wrapped bond Y_0 Y_1 hit the same
+        # entries, half of which cancel to zero.
+        rng = np.random.default_rng(n_spins)
+        couplings = [(1.0, 1.0), (0.0, -1.0), (2.0, 0.0), (0.0, 0.0)]
+        couplings += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
+        for field_b, coupling_j in couplings:
+            params = IsingParams(n_spins, field_b=float(field_b), coupling_j=float(coupling_j))
+            assert_same_bits(dense.build_hamiltonian(params), hamiltonian_from_strings(params))
+
+    def test_bond_sum_is_read_only(self):
+        bonds = dense._bond_sum(4)
+        assert not bonds.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bonds[0, 0] = 1.0
+
+    def test_returned_hamiltonian_is_private(self):
+        params = IsingParams(4, field_b=0.7, coupling_j=1.3)
+        expected = hamiltonian_from_strings(params)
+        ham = dense.build_hamiltonian(params)
+        ham[...] = 5.0
+        assert_same_bits(dense.build_hamiltonian(params), expected)
 
 
 class TestGroundStateEven:
@@ -176,6 +207,17 @@ class TestTrotterEvolve:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             dense.trotter_evolve(IsingParams(2048, 1.0, 1.0), TrotterSchedule(1.0, 1))
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    @pytest.mark.parametrize("steps", [0, 1, 17, 1024])
+    def test_equals_stepwise_loop(self, n_spins, steps):
+        # Chunked step phases and one hoisted conjugate transpose change no bit.
+        rng = np.random.default_rng(100 * n_spins + steps)
+        coupling_j = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+        params = IsingParams(n_spins, field_b=float(rng.uniform(-2.0, 2.0)), coupling_j=coupling_j)
+        sch = TrotterSchedule(total_time=float(rng.uniform(1.0, 200.0)), steps=steps)
+        assert params.coupling_j != 1.0
+        assert_same_bits(dense.trotter_evolve(params, sch), trotter_evolve_stepwise(params, sch))
 
 
 class TestQFI:

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compressed_metrology import dense, matchgate
+from compressed_metrology import dense
 from compressed_metrology.matchgate import (
     QuadraticObservable,
-    exp_generator,
     expectation_quadratic,
-    expectation_z0,
     majorana_two_point,
     observable_b_coefficients,
-    vacuum_covariance,
 )
 from conftest import random_antisymmetric
+from support import conjugate_modes, exp_generator, expectation_z0, vacuum_covariance
 
 
 def series_exponential(h: np.ndarray, log2_k: int = 20) -> np.ndarray:
@@ -107,24 +105,24 @@ class TestVacuumCovariance:
 
 class TestConjugateModes:
     def test_identity(self):
-        assert np.array_equal(matchgate.conjugate_modes(np.eye(6), 4), np.eye(6)[4])
+        assert np.array_equal(conjugate_modes(np.eye(6), 4), np.eye(6)[4])
 
     def test_planar_rotation_pattern(self):
         theta = 0.31
         h = np.zeros((4, 4))
         h[0, 1], h[1, 0] = theta / 4.0, -theta / 4.0
-        row = matchgate.conjugate_modes(exp_generator(h), 0)
+        row = conjugate_modes(exp_generator(h), 0)
         assert row == pytest.approx([np.cos(theta), np.sin(theta), 0.0, 0.0], abs=1e-15)
 
     def test_product_row(self, rng):
         r1 = exp_generator(random_antisymmetric(8, rng))
         r2 = exp_generator(random_antisymmetric(8, rng))
         combined = r2 @ r1
-        assert np.allclose(matchgate.conjugate_modes(combined, 3), combined[3])
+        assert np.allclose(conjugate_modes(combined, 3), combined[3])
 
     def test_bounds(self):
         with pytest.raises(IndexError):
-            matchgate.conjugate_modes(np.eye(4), 4)
+            conjugate_modes(np.eye(4), 4)
 
 
 class TestExpectationZ0:
