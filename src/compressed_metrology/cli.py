@@ -33,12 +33,30 @@ SLOPE_WINDOW_B = (-2.1, -1.9)
 SLOPE_WINDOW_M = (-1.35, -1.0)
 FLATNESS_WINDOW_M = 0.10
 SCHEMA_VERSION = 1
-# Config keys whose flags take comma-separated lists, with their element type.
-_LIST_KEYS = {"n": int, "n_magnetization": int, "g": float, "window": float}
-# Config keys whose flags take one value, with its type.
-_SCALAR_KEYS = {"b": float, "j": float, "shots": int, "reps": int, "seed": int,
-                "t_total": float, "l_steps": int, "c_t": float, "c_l": float, "l_cap": int,
-                "analytic_tol": float, "error_budget": float, "format": str, "out": str}
+# Every option, by config key: element type, whether its flag takes a comma
+# list, and help.  The flag is the key with "-" for "_".
+_OPTIONS = {
+    "n": (int, True, "comma-separated system sizes"),
+    "n_magnetization": (int, True, "sizes for the magnetization fit"),
+    "g": (float, True, "comma-separated field/coupling ratios"),
+    "b": (float, False, "field B (with --j, overrides --g)"),
+    "j": (float, False, "coupling J"),
+    "shots": (int, False, "shots per repetition"),
+    "reps": (int, False, "Monte Carlo repetitions"),
+    "seed": (int, False, "RNG seed (mandatory)"),
+    "window": (float, True, "calibration search window lo,hi"),
+    "t_total": (float, False, "adiabatic duration T"),
+    "l_steps": (int, False, "Trotter step count L"),
+    "c_t": (float, False, "default T = c_t * N^2"),
+    "c_l": (float, False, "default L = c_l * N^5 (capped)"),
+    "l_cap": (int, False, "cap on the default L"),
+    "analytic_tol": (float, False, "also check |analytic - matrix| against this tolerance"),
+    "error_budget": (float, False, "warn when the Trotter proxy L*Delta^2 exceeds this"),
+    "format": (str, False, "csv or json"),
+    "out": (str, False, "output path (default stdout)"),
+}
+# Defaults of the Trotter schedule options, shared by every command that runs the chain.
+_SCHEDULE = {"t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string"}
 
 
@@ -58,21 +76,23 @@ def _json_report(payload: dict, out: str | None) -> None:
     _emit(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n", out)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _list_of(kind: type):
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok]
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse names the type in its errors
+    return parse
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """flags > config file > defaults, strict about unknown keys, value types and empty --g.
 
-    A config value of null stands for the default only where the default is null.
+    The defaults are the command's in ``_COMMANDS``; a config value of null
+    stands for the default only where the default is null.
     """
+    defaults = _COMMANDS[args.command][2]
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -86,20 +106,18 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, val in file_cfg.items():
             if val is None and defaults[key] is None:
                 continue
-            if key in _LIST_KEYS:
-                kind = _LIST_KEYS[key]
+            kind, is_list, _ = _OPTIONS[key]
+            if is_list:
                 if not (isinstance(val, list) and all(_is_a(v, kind) for v in val)):
                     _usage_error(f"config key {key!r} must be a list of {kind.__name__}s, "
                                  f"got {json.dumps(val)}")
-            elif not _is_a(val, _SCALAR_KEYS[key]):
-                _usage_error(f"config key {key!r} must be {_TYPE_NAMES[_SCALAR_KEYS[key]]}, "
+            elif not _is_a(val, kind):
+                _usage_error(f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
                              f"got {json.dumps(val)}")
     resolved = {}
     for key, default in defaults.items():
-        val = getattr(args, key, None)
-        if val is None:
-            val = file_cfg.get(key, default)
-        resolved[key] = val
+        val = getattr(args, key)
+        resolved[key] = file_cfg.get(key, default) if val is None else val
     if "g" in resolved and not resolved["g"]:
         _usage_error(f"{args.command} needs a nonempty --g list")
     return resolved
@@ -144,16 +162,19 @@ def _apply_b_override(cfg: dict) -> None:
         cfg["g"] = [cfg["b"] / cfg["j"]]
 
 
-def _schedule_from(cfg: dict, n_spins: int) -> adiabatic.TrotterSchedule:
+def _one(cfg: dict, key: str, command: str):
+    """The single value of a list option that ``command`` reads once."""
+    if len(cfg[key]) != 1:
+        _usage_error(f"{command} takes one --{key}, got {','.join(map(str, cfg[key]))}")
+    return cfg[key][0]
+
+
+def _schedule_from(cfg: dict, n_spins: int,
+                   error_budget: float | None = None) -> adiabatic.TrotterSchedule:
     try:
-        return adiabatic.build_schedule(
-            n_spins,
-            total_time=cfg.get("t_total"),
-            steps=cfg.get("l_steps"),
-            c_t=cfg.get("c_t", 10.0),
-            c_l=cfg.get("c_l", 1.0),
-            step_cap=cfg.get("l_cap", 10**6),
-        )
+        return adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"], c_t=cfg["c_t"],
+                                        c_l=cfg["c_l"], step_cap=cfg["l_cap"],
+                                        error_budget=error_budget)
     except ValueError as exc:
         _usage_error(str(exc))
 
@@ -180,7 +201,7 @@ def _sweep_row(task: tuple[int, float]) -> tuple:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {"n": [4, 8, 16], "g": None, "format": "csv", "out": None})
+    cfg = _resolve(args)
     out = cfg.pop("out")
     if cfg["format"] not in _SWEEP_FORMATS:
         _usage_error(f"format must be one of {', '.join(_SWEEP_FORMATS)}, "
@@ -253,15 +274,9 @@ def scaling_report(g: float, n_list_b: list[int], n_list_m: list[int], shots: in
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "g": [1.0],
-        "n": None,
-        "n_magnetization": [2**k for k in range(8, 14)],
-        "shots": 1,
-        "out": None,
-    })
+    cfg = _resolve(args)
     out = cfg.pop("out")
-    g = cfg["g"][0]
+    g = _one(cfg, "g", "scaling")
     n_list_b = cfg["n"] or [2**k for k in range(3, 11)]
     _check_sizes(n_list_b, curves=True, chain=False)
     _check_sizes(cfg["n_magnetization"], curves=True, chain=False)
@@ -275,15 +290,16 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def compare_point(n: int, g: float, schedule: adiabatic.TrotterSchedule,
+def compare_point(n: int, g: float, schedule: adiabatic.TrotterSchedule, b_dense: np.ndarray,
                   coupling_j: float = 1.0) -> dict:
+    """<B> four ways at one (N, g); ``b_dense`` is ``dense.observable_b_dense(n)``."""
     params = ising.IsingParams(n, field_b=g * coupling_j, coupling_j=coupling_j)
     analytic = ising.expected_b(g, n)
     rot = adiabatic.adiabatic_rotation(params, schedule)
     matrix = matchgate.expectation_quadratic(rot, matchgate.observable_b_coefficients(n))
     gate = circuit.expectation_b_gate(params, schedule)
     state = dense.trotter_evolve(params, schedule)
-    dense_val = dense.expectation(state, dense.observable_b_dense(n))
+    dense_val = dense.expectation(state, b_dense)
     return {
         "n": n,
         "g": g,
@@ -298,11 +314,7 @@ def compare_point(n: int, g: float, schedule: adiabatic.TrotterSchedule,
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "n": [4], "g": [0.5, 1.0, 1.5], "b": None, "j": 1.0,
-        "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
-        "analytic_tol": None, "out": None,
-    })
+    cfg = _resolve(args)
     _apply_b_override(cfg)
     out = cfg.pop("out")
     sizes = sorted(cfg["n"])
@@ -313,8 +325,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     failures = []
     rows = []
     for n, schedule in schedules:
+        b_dense = dense.observable_b_dense(n)
         for g in sorted(cfg["g"]):
-            row = compare_point(n, g, schedule, coupling_j=cfg["j"])
+            row = compare_point(n, g, schedule, b_dense, coupling_j=cfg["j"])
             row.update(_schedule_meta(schedule))
             rows.append(row)
             if row["delta_matrix_gate"] >= MATRIX_GATE_TOL:
@@ -379,11 +392,7 @@ def estimation_run(
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "n": [16], "g": [1.0], "b": None, "j": 1.0, "shots": 10_000, "reps": 200, "seed": None,
-        "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
-        "window": [0.5, 1.5], "error_budget": None, "out": None,
-    })
+    cfg = _resolve(args)
     _apply_b_override(cfg)
     out = cfg.pop("out")
     if cfg["seed"] is None:
@@ -398,13 +407,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if len(window) != 2 or not window[0] < window[1]:
         _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
     _check_sizes(cfg["n"], curves=True, chain=True)
-    n, g_star = cfg["n"][0], cfg["g"][0]
-    schedule = _schedule_from(cfg, n)
-    if cfg["error_budget"] is not None:
-        # The proxy is a very loose scale (orders above the measured bias);
-        # opt-in only, so sane runs are not drowned in warnings.
-        adiabatic.build_schedule(n, total_time=schedule.total_time, steps=schedule.steps,
-                                 error_budget=cfg["error_budget"])
+    n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
+    # The budget warning's proxy is a very loose scale (orders above the
+    # measured bias); opt-in only, so sane runs are not drowned in warnings.
+    schedule = _schedule_from(cfg, n, error_budget=cfg["error_budget"])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
                             tuple(cfg["window"]), coupling_j=cfg["j"])
     report.update(_schedule_meta(schedule))
@@ -429,14 +435,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "n": [4], "b": 1.0, "j": 1.0,
-        "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
-        "out": None,
-    })
+    cfg = _resolve(args)
     out = cfg.pop("out")
     _check_sizes(cfg["n"], curves=False, chain=True)
-    n = cfg["n"][0]
+    n = _one(cfg, "n", "dump")
     m = n.bit_length() - 1
     schedule = _schedule_from(cfg, n)
     params = ising.IsingParams(n, field_b=cfg["b"], coupling_j=cfg["j"])
@@ -459,11 +461,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "n": [4], "g": [1.0],
-        "t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6,
-        "out": None,
-    })
+    cfg = _resolve(args)
     out = cfg.pop("out")
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=False, chain=True)
@@ -501,67 +499,49 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors as one usage line; ``add_subparsers`` builds each subcommand from this class."""
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
+
+
+# name -> (handler, summary, defaults).  The defaults name the command's
+# flags, and their order is the order of the report's config block.
+_COMMANDS = {
+    "sweep": (cmd_sweep, "analytic observable curves over (N, g) grids",
+              {"n": [4, 8, 16], "g": None, "format": "csv", "out": None}),
+    "scaling": (cmd_scaling, "precision-scaling fits and windows",
+                {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
+                 "shots": 1, "out": None}),
+    "compare": (cmd_compare, "analytic vs matrix vs gate vs dense <B>",
+                {"n": [4], "g": [0.5, 1.0, 1.5], "b": None, "j": 1.0, **_SCHEDULE,
+                 "analytic_tol": None, "out": None}),
+    "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",
+                 {"n": [16], "g": [1.0], "b": None, "j": 1.0, "shots": 10_000, "reps": 200,
+                  "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "error_budget": None,
+                  "out": None}),
+    "dump": (cmd_dump, "write the gate program of R^T(B, J)",
+             {"n": [4], "b": 1.0, "j": 1.0, **_SCHEDULE, "out": None}),
+    "oracle": (cmd_oracle, "dense reference values (N <= 10)",
+               {"n": [4], "g": [1.0], **_SCHEDULE, "out": None}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmetro",
         description="Compressed Ising-chain metrology: sweeps, comparisons, estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, schedule: bool = True) -> None:
-        p.add_argument("--n", type=_ints, help="comma-separated system sizes")
-        p.add_argument("--g", type=_floats, help="comma-separated field/coupling ratios")
-        p.add_argument("--out", help="output path (default stdout)")
+    for name, (func, summary, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-        if schedule:
-            p.add_argument("--t-total", dest="t_total", type=float, help="adiabatic duration T")
-            p.add_argument("--l-steps", dest="l_steps", type=int, help="Trotter step count L")
-            p.add_argument("--c-t", dest="c_t", type=float, help="default T = c_t * N^2")
-            p.add_argument("--c-l", dest="c_l", type=float, help="default L = c_l * N^5 (capped)")
-            p.add_argument("--l-cap", dest="l_cap", type=int, help="cap on the default L")
-
-    p_sweep = sub.add_parser("sweep", help="analytic observable curves over (N, g) grids")
-    common(p_sweep, schedule=False)
-    p_sweep.add_argument("--format", choices=_SWEEP_FORMATS)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_scaling = sub.add_parser("scaling", help="precision-scaling fits and windows")
-    common(p_scaling, schedule=False)
-    p_scaling.add_argument("--n-magnetization", dest="n_magnetization", type=_ints,
-                           help="sizes for the magnetization fit")
-    p_scaling.add_argument("--shots", type=int)
-    p_scaling.set_defaults(func=cmd_scaling)
-
-    p_compare = sub.add_parser("compare", help="analytic vs matrix vs gate vs dense <B>")
-    common(p_compare)
-    p_compare.add_argument("--b", type=float, help="field B (with --j, overrides --g)")
-    p_compare.add_argument("--j", type=float, help="coupling J")
-    p_compare.add_argument("--analytic-tol", dest="analytic_tol", type=float,
-                           help="also check |analytic - matrix| against this tolerance")
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_estimate = sub.add_parser("estimate", help="full estimation pipeline, Monte Carlo")
-    common(p_estimate)
-    p_estimate.add_argument("--b", type=float, help="true field B (with --j, overrides --g)")
-    p_estimate.add_argument("--j", type=float, help="known coupling J")
-    p_estimate.add_argument("--shots", type=int)
-    p_estimate.add_argument("--reps", type=int)
-    p_estimate.add_argument("--seed", type=int)
-    p_estimate.add_argument("--window", type=_floats, help="calibration search window lo,hi")
-    p_estimate.add_argument("--error-budget", dest="error_budget", type=float,
-                            help="warn when the Trotter proxy L*Delta^2 exceeds this")
-    p_estimate.set_defaults(func=cmd_estimate)
-
-    p_dump = sub.add_parser("dump", help="write the gate program of R^T(B, J)")
-    common(p_dump)
-    p_dump.add_argument("--b", type=float, help="field B")
-    p_dump.add_argument("--j", type=float, help="coupling J")
-    p_dump.set_defaults(func=cmd_dump)
-
-    p_oracle = sub.add_parser("oracle", help="dense reference values (N <= 10)")
-    common(p_oracle)
-    p_oracle.set_defaults(func=cmd_oracle)
-
+        for key in defaults:
+            kind, is_list, text = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=_list_of(kind) if is_list else kind,
+                           help=text)
     return parser
 
 

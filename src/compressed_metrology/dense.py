@@ -225,33 +225,6 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     return state
 
 
-def matchgate_unitary(n_spins: int, h: np.ndarray) -> np.ndarray:
-    """Dense unitary exp(-iH) for the quadratic H = i sum_{j!=k} h_{jk} x_j x_k."""
-    from scipy.linalg import expm
-
-    xs = majoranas(n_spins)
-    if h.shape != (2 * n_spins, 2 * n_spins):
-        raise ValueError("generator dimension mismatch")
-    gen = np.zeros_like(xs[0])
-    for j in range(2 * n_spins):
-        for k in range(j + 1, 2 * n_spins):
-            if h[j, k] != 0.0:
-                gen += 2.0 * h[j, k] * (xs[j] @ xs[k])
-    return expm(gen)
-
-
-def conjugation_rotation(n_spins: int, unitary: np.ndarray) -> np.ndarray:
-    """Extract R with U^dag x_j U = sum_k R_{jk} x_k by tracing against the x_k."""
-    xs = majoranas(n_spins)
-    dim = 1 << n_spins
-    rot = np.empty((2 * n_spins, 2 * n_spins))
-    for j in range(2 * n_spins):
-        conj = unitary.conj().T @ xs[j] @ unitary
-        for k in range(2 * n_spins):
-            rot[j, k] = np.trace(conj @ xs[k]).real / dim
-    return rot
-
-
 def qfi_pure(params: IsingParams, fd_step: float = 1e-4) -> float:
     """Quantum Fisher information of the even-parity ground state w.r.t. g.
 

@@ -9,7 +9,10 @@ compressed protocol is compared with.  ``hamiltonian_from_strings`` and
 string and one step at a time) that ``dense.build_hamiltonian`` and
 ``dense.trotter_evolve`` must equal bit for bit.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
-matchgate engine's generator exponential and vacuum algebra.
+matchgate engine's generator exponential and vacuum algebra;
+``matchgate_unitary`` and ``conjugation_rotation`` are their dense
+counterparts, the 2^N unitary of a quadratic generator and the rotation it
+induces on the Majoranas.
 """
 
 from __future__ import annotations
@@ -194,3 +197,30 @@ def expectation_z0(rot: np.ndarray) -> float:
         raise ValueError("need dim >= 2")
     even = np.arange(0, dim, 2)
     return float(np.sum(rot[0, even] * rot[1, even + 1] - rot[0, even + 1] * rot[1, even]))
+
+
+def matchgate_unitary(n_spins: int, h: np.ndarray) -> np.ndarray:
+    """Dense unitary exp(-iH) for the quadratic H = i sum_{j!=k} h_{jk} x_j x_k."""
+    from scipy.linalg import expm
+
+    xs = dense.majoranas(n_spins)
+    if h.shape != (2 * n_spins, 2 * n_spins):
+        raise ValueError("generator dimension mismatch")
+    gen = np.zeros_like(xs[0])
+    for j in range(2 * n_spins):
+        for k in range(j + 1, 2 * n_spins):
+            if h[j, k] != 0.0:
+                gen += 2.0 * h[j, k] * (xs[j] @ xs[k])
+    return expm(gen)
+
+
+def conjugation_rotation(n_spins: int, unitary: np.ndarray) -> np.ndarray:
+    """Extract R with U^dag x_j U = sum_k R_{jk} x_k by tracing against the x_k."""
+    xs = dense.majoranas(n_spins)
+    dim = 1 << n_spins
+    rot = np.empty((2 * n_spins, 2 * n_spins))
+    for j in range(2 * n_spins):
+        conj = unitary.conj().T @ xs[j] @ unitary
+        for k in range(2 * n_spins):
+            rot[j, k] = np.trace(conj @ xs[k]).real / dim
+    return rot

@@ -25,7 +25,7 @@ from rotation_oracle import (
     r1_rotation,
     shift_matrix,
 )
-from support import exp_generator
+from support import conjugation_rotation, exp_generator
 
 
 class TestSchedule:
@@ -123,7 +123,7 @@ class TestStepRotations:
         # U0 = exp(i B Delta H0) acts on Majoranas as R0 = exp(+4 B Delta h0).
         n, b_delta = 2, 0.3
         field = sum(dense.pauli_string(n, {j: "Z"}) for j in range(n))
-        rot_ref = dense.conjugation_rotation(n, expm(1j * b_delta * field))
+        rot_ref = conjugation_rotation(n, expm(1j * b_delta * field))
         sch = TrotterSchedule(total_time=b_delta, steps=0)
         assert np.abs(r0_rotation(1.0, sch, n) - rot_ref).max() < 1e-12
 
@@ -143,7 +143,7 @@ class TestStepRotations:
         # U1 = exp(i theta H1) with H1 = sum XX (wrapped) gives exp(+4 theta h1).
         n, theta = 2, 0.41
         ham1 = dense.build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))
-        rot_ref = dense.conjugation_rotation(n, expm(1j * theta * ham1))
+        rot_ref = conjugation_rotation(n, expm(1j * theta * ham1))
         assert np.abs(expm(4.0 * theta * h1_generator(n)) - rot_ref).max() < 1e-12
 
 

@@ -169,6 +169,24 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE["compare"], "--n", "4", "--config", str(cfg)],
                            "--j must be nonzero (g = B/J), got 0")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--n", "abc"], "argument --n: invalid int list value: 'abc'"),
+        (["oracle", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["dump", "--g", "0.5"], "unrecognized arguments: --g 0.5"),
+    ])
+    def test_parser_error(self, capsys, argv, message):
+        assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("estimate", "--n", "4,8"),
+        ("estimate", "--g", "1.0,2.0"),
+        ("dump", "--n", "4,8"),
+        ("scaling", "--g", "1.0,0.5"),
+    ])
+    def test_list_where_one_value_is_read(self, capsys, command, flag, value):
+        assert_usage_error(capsys, [*self.BASE[command], flag, value],
+                           f"{command} takes one {flag}, got {value}")
+
     @pytest.mark.parametrize("text,message", [
         (None, "--config: [Errno 2] No such file or directory"),
         ("{", "--config: Expecting property name"),
@@ -210,6 +228,13 @@ class TestCompare:
         assert code == 1 and not payload["passed"]
         assert any("analytic delta" in f for f in payload["failures"])
 
+    def test_one_dense_observable_per_size(self, tmp_path, monkeypatch):
+        sizes = []
+        build = dense.observable_b_dense
+        monkeypatch.setattr(dense, "observable_b_dense", lambda n: sizes.append(n) or build(n))
+        code, _ = run(tmp_path, "compare", "--n", "4,8", "--g", "0.5,1.0,1.5", "--l-steps", "8")
+        assert code == 0 and sizes == [4, 8]
+
     def test_large_size_rejected(self, capsys):
         assert_usage_error(capsys, ["compare", "--n", "16", "--g", "1.0"],
                            "compare runs the gate/dense legs; N <= 8 required")
@@ -240,6 +265,18 @@ class TestEstimate:
 
         monkeypatch.setattr(circuit, "run_circuit", not_reached)
         assert_usage_error(capsys, [*self.ARGS, flag, value], message)
+
+    def test_error_budget_warns_from_the_one_schedule(self, tmp_path, monkeypatch):
+        calls = []
+        build = adiabatic.build_schedule
+        monkeypatch.setattr(adiabatic, "build_schedule",
+                            lambda *args, **kwargs: calls.append(kwargs) or build(*args, **kwargs))
+        with pytest.warns(UserWarning, match="exceeds the error budget 1e-06"):
+            code, data = run(tmp_path, *self.ARGS, "--error-budget", "1e-6")
+        assert code == 0 and [kw["error_budget"] for kw in calls] == [1e-6]
+        payload, golden = json.loads(data), json.loads((GOLDEN / "estimate.json").read_bytes())
+        assert payload.pop("config") == {**golden.pop("config"), "error_budget": 1e-6}
+        assert payload == golden
 
     def test_reproducible_byte_identical(self, tmp_path):
         code1, first = run(tmp_path, *self.ARGS)

@@ -13,7 +13,13 @@ from compressed_metrology.matchgate import (
     observable_b_coefficients,
 )
 from conftest import random_antisymmetric
-from support import conjugate_modes, exp_generator, expectation_z0, vacuum_covariance
+from support import (
+    conjugate_modes,
+    exp_generator,
+    expectation_z0,
+    matchgate_unitary,
+    vacuum_covariance,
+)
 
 
 def series_exponential(h: np.ndarray, log2_k: int = 20) -> np.ndarray:
@@ -33,7 +39,7 @@ def random_matchgate_product(n_spins, n_gates, rng):
         h = np.zeros((2 * n_spins, 2 * n_spins))
         h[2 * q:2 * q + 4, 2 * q:2 * q + 4] = random_antisymmetric(4, rng, scale=0.8)
         rot = exp_generator(h) @ rot
-        unitary = dense.matchgate_unitary(n_spins, h) @ unitary
+        unitary = matchgate_unitary(n_spins, h) @ unitary
     return rot, unitary
 
 
@@ -134,7 +140,7 @@ class TestExpectationZ0:
         h[1, 2], h[2, 1] = np.pi / 4.0, -np.pi / 4.0
         rot = exp_generator(h)
         assert expectation_z0(rot) == pytest.approx(-1.0, abs=1e-12)
-        unitary = dense.matchgate_unitary(n, h)
+        unitary = matchgate_unitary(n, h)
         vac = np.zeros(4, dtype=complex)
         vac[0] = 1.0
         dense_val = dense.expectation(unitary @ vac, dense.pauli_string(n, {0: "Z"}))
