@@ -41,7 +41,6 @@ from .ising import (
 from .matchgate import (
     QuadraticObservable,
     expectation_quadratic,
-    majorana_two_point,
     observable_b_coefficients,
 )
 from .metrology import (

@@ -17,8 +17,9 @@ so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
 momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
 multiplies the steps of momenta 0..N/2 in cache-sized chunks and undoes the
 Fourier transform with one inverse FFT over the 2x2 blocks; this is the only
-product path.  The plain step-by-step product of the 2N x 2N rotations lives
-in the test suite as its oracle.
+product path, written through ``out=`` buffers allocated once per call.  The
+test suite keeps the step-by-step product of the 2N x 2N rotations and the
+allocating per-momentum product, which this one equals bit for bit, as oracles.
 """
 
 from __future__ import annotations
@@ -105,25 +106,37 @@ def trotter_error_bound(schedule: TrotterSchedule) -> float:
     return schedule.steps * schedule.delta**2
 
 
-def _su2_tree(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _su2_tree(
+    a: np.ndarray, b: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Ordered product over axis 0 of SU(2) blocks [[a, -conj(b)], [b, conj(a)]].
 
     Pairwise (tree) reduction: one vectorized pass per level, highest index
     ending up leftmost.  Odd leftovers are folded in at the end of each level.
+    Level 1 writes into ``half_a``/``half_b`` (ceil(rows/2) rows), later levels
+    ping-pong between those and the overwritten ``a``/``b``, and ``scratch``
+    holds one operand; the ufuncs and operands are those of the plain
+    a2 a1 - conj(b2) b1, b2 a1 + conj(a2) b1, so the bits are too.
     """
-    while a.shape[0] > 1:
-        if a.shape[0] % 2:
-            ta, tb = a[-1:], b[-1:]
-            a, b = a[:-1], b[:-1]
-        else:
-            ta = None
-        a2, a1, b2, b1 = a[1::2], a[0::2], b[1::2], b[0::2]
-        a = a2 * a1 - np.conj(b2) * b1
-        b = b2 * a1 + np.conj(a2) * b1
-        if ta is not None:
-            a = np.concatenate([a, ta])
-            b = np.concatenate([b, tb])
-    return a[0], b[0]
+    src_a, src_b, dst_a, dst_b = a, b, half_a, half_b
+    while src_a.shape[0] > 1:
+        rows = src_a.shape[0]
+        half = rows // 2
+        a2, a1 = src_a[1:2 * half:2], src_a[0:2 * half:2]
+        b2, b1 = src_b[1:2 * half:2], src_b[0:2 * half:2]
+        out_a, out_b, tmp = dst_a[:half], dst_b[:half], scratch[:half]
+        # A multiply never writes over its own input: numpy takes another
+        # (non-FMA) loop for that, which changes the last bit.
+        np.multiply(a2, a1, out=out_a)
+        np.multiply(np.conjugate(b2, out=tmp), b1, out=out_b)
+        np.subtract(out_a, out_b, out=out_a)
+        np.multiply(np.conjugate(a2, out=tmp), b1, out=out_b)
+        np.add(np.multiply(b2, a1, out=tmp), out_b, out=out_b)
+        if rows % 2:
+            dst_a[half], dst_b[half] = src_a[-1], src_b[-1]
+            half += 1
+        src_a, src_b, dst_a, dst_b = dst_a[:half], dst_b[:half], src_a, src_b
+    return src_a[0], src_b[0]
 
 
 def _half_spectrum_products(
@@ -133,17 +146,23 @@ def _half_spectrum_products(
 
     Momentum k sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
     are streamed in chunks of about _CHUNK_ENTRIES (step, mode) entries, each
-    reduced by a pairwise tree and folded into the running product.
+    reduced by a pairwise tree and folded into the running product.  The step
+    arrays and the tree's level buffers are allocated once per call.
     """
     n, steps = params.n_spins, schedule.steps
     q = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     beta = 2.0 * params.field_b * schedule.delta
     cb, sb = math.cos(beta), math.sin(beta)
     phase_up = np.exp(1j * q)
+    phase_down = phase_up.conj()
 
     acc_a = np.ones(q.size, dtype=complex)
     acc_b = np.zeros(q.size, dtype=complex)
     chunk = max(1, _CHUNK_ENTRIES // q.size)
+    rows = min(chunk, steps + 1)
+    step_a, step_b = (np.empty((rows, q.size), dtype=complex) for _ in range(2))
+    half_a, half_b, scratch = (np.empty(((rows + 1) // 2, q.size), dtype=complex)
+                               for _ in range(3))
     for start in range(0, steps + 1, chunk):
         # tau(l) with the bits of schedule.taus(); the single step of L = 0 has tau = 0
         if steps:
@@ -152,10 +171,12 @@ def _half_spectrum_products(
             taus = np.zeros(1)
         phi = params.coupling_j * taus
         c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        # step = G_odd(q, phi) @ G_even(beta) in (a, b) components
-        step_a = c * cb + (s * sb) * phase_up.conj()[None, :]
-        step_b = (s * cb) * phase_up[None, :] - c * sb
-        ch_a, ch_b = _su2_tree(step_a, step_b)
+        # step = G_odd(q, phi) @ G_even(beta) in (a, b) components:
+        # a = c cb + (s sb) conj(e^{iq}),  b = (s cb) e^{iq} - c sb
+        ch_a, ch_b = step_a[:taus.size], step_b[:taus.size]
+        np.add(c * cb, np.multiply(s * sb, phase_down, out=ch_a), out=ch_a)
+        np.subtract(np.multiply(s * cb, phase_up, out=ch_b), c * sb, out=ch_b)
+        ch_a, ch_b = _su2_tree(ch_a, ch_b, half_a, half_b, scratch)
         acc_a, acc_b = ch_a * acc_a - np.conj(ch_b) * acc_b, ch_b * acc_a + np.conj(ch_a) * acc_b
         # The (a, b) form is exactly unitary iff |a|^2 + |b|^2 = 1, so a cheap
         # renormalization per chunk stops roundoff drift over ~1e8 factors.

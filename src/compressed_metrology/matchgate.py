@@ -20,14 +20,22 @@ def _check_even_square(mat: np.ndarray, name: str) -> int:
     return mat.shape[0]
 
 
+# Rows per block of the Hermiticity check.
+_HERMITIAN_BLOCK = 64
+
+
 class QuadraticObservable:
     """Coefficient matrix b of a Hermitian quadratic form sum_{lm} b_{lm} x_l x_m."""
 
     def __init__(self, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
-        _check_even_square(coeffs, "coeffs")
-        if not np.allclose(coeffs, coeffs.conj().T, atol=1e-12):
-            raise ValueError("coefficient matrix must be Hermitian")
+        dim = _check_even_square(coeffs, "coeffs")
+        # b == b^dag within atol, elementwise as np.allclose tests it, one row
+        # block against the matching columns at a time: no full-size copies.
+        for lo in range(0, dim, _HERMITIAN_BLOCK):
+            block = slice(lo, lo + _HERMITIAN_BLOCK)
+            if not np.allclose(coeffs[block], coeffs[:, block].conj().T, atol=1e-12):
+                raise ValueError("coefficient matrix must be Hermitian")
         self.coeffs = coeffs
 
     @property
@@ -46,28 +54,31 @@ def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float
         raise ValueError(f"determinant not +1 (sign {sign}, |log det| {abs(logdet):.3e})")
 
 
-def majorana_two_point(rot: np.ndarray) -> np.ndarray:
-    """Gamma_{jk} = <U^dag x_j x_k U> = delta_{jk} + i [R S R^T]_{jk}.
-
-    The antisymmetric part is symmetrized after the matrix products so the
-    diagonal of Gamma is exactly 1; Gamma/2 is the (projector) correlation
-    matrix of the pure Gaussian state.
-    """
-    dim = _check_even_square(rot, "rotation")
-    shuffled = np.empty_like(rot)
-    shuffled[:, 0::2] = -rot[:, 1::2]
-    shuffled[:, 1::2] = rot[:, 0::2]
-    kern = shuffled @ rot.T
-    kern = 0.5 * (kern - kern.T)
-    return np.eye(dim) + 1j * kern
-
-
 def expectation_quadratic(rot: np.ndarray, obs: QuadraticObservable) -> float:
-    """Re sum_{jk} b_{jk} Gamma_{jk}; the imaginary part must vanish (Hermitian b)."""
+    """Re sum_{jk} b_{jk} Gamma_{jk}; the imaginary part must vanish (Hermitian b).
+
+    Gamma = 1 + i K with K = (W - W^T)/2 real, W = R S R^T, and K_jj = 0, so
+    b_jk Gamma_jk is -Im(b_jk) K_jk + i Re(b_jk) K_jk off the diagonal and
+    b_jj on it.  Those products are written straight into one complex array,
+    without forming Gamma, and summed as the elementwise product b * Gamma
+    would be: the result has the same bits.
+    """
     dim = _check_even_square(rot, "rotation")
     if dim != obs.dim:
         raise ValueError(f"dimension mismatch: rotation {dim}, observable {obs.dim}")
-    value = complex(np.sum(obs.coeffs * majorana_two_point(rot)))
+    shuffled = np.empty_like(rot)
+    shuffled[:, 0::2] = -rot[:, 1::2]
+    shuffled[:, 1::2] = rot[:, 0::2]
+    gram = shuffled @ rot.T
+    # K overwrites ``shuffled`` and W is dropped before ``terms`` exists, for peak memory.
+    kern = np.subtract(gram, gram.T, out=shuffled)
+    kern *= 0.5
+    del gram
+    terms = np.empty_like(obs.coeffs)
+    np.negative(np.multiply(obs.coeffs.imag, kern, out=terms.real), out=terms.real)
+    np.multiply(obs.coeffs.real, kern, out=terms.imag)
+    terms.flat[::dim + 1] = np.diagonal(obs.coeffs)
+    value = complex(np.sum(terms))
     if abs(value.imag) > 1e-10:
         raise AssertionError(f"quadratic expectation has imaginary part {value.imag:.3e}")
     return value.real

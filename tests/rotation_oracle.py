@@ -3,7 +3,10 @@
 ``direct_rotation`` multiplies the step rotations one at a time in real
 arithmetic, the product ``adiabatic.adiabatic_rotation`` evaluates per
 momentum.  The generators and per-step rotations pin the conventions against
-the dense spin-space oracle and the gate program.
+the dense spin-space oracle and the gate program.  ``su2_tree`` and
+``half_spectrum_products`` are the per-momentum product in its plain,
+allocating form (a new array per operation), which the buffered
+``adiabatic._half_spectrum_products`` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 
 import numpy as np
 
+from compressed_metrology import adiabatic
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 
@@ -89,3 +93,54 @@ def direct_rotation(
         else:
             rot = mix_even_rows(rot, math.cos(phi), math.sin(phi))
     return rot
+
+
+def su2_tree(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product over axis 0 of SU(2) blocks [[a, -conj(b)], [b, conj(a)]].
+
+    Pairwise (tree) reduction, highest index ending up leftmost; odd leftovers
+    are folded in at the end of each level.
+    """
+    while a.shape[0] > 1:
+        if a.shape[0] % 2:
+            ta, tb = a[-1:], b[-1:]
+            a, b = a[:-1], b[:-1]
+        else:
+            ta = None
+        a2, a1, b2, b1 = a[1::2], a[0::2], b[1::2], b[0::2]
+        a = a2 * a1 - np.conj(b2) * b1
+        b = b2 * a1 + np.conj(a2) * b1
+        if ta is not None:
+            a = np.concatenate([a, ta])
+            b = np.concatenate([b, tb])
+    return a[0], b[0]
+
+
+def half_spectrum_products(
+    params: IsingParams, schedule: TrotterSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the per-momentum products at k = 0..N/2, chunked as ``adiabatic`` chunks them."""
+    n, steps = params.n_spins, schedule.steps
+    q = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    beta = 2.0 * params.field_b * schedule.delta
+    cb, sb = math.cos(beta), math.sin(beta)
+    phase_up = np.exp(1j * q)
+
+    acc_a = np.ones(q.size, dtype=complex)
+    acc_b = np.zeros(q.size, dtype=complex)
+    chunk = max(1, adiabatic._CHUNK_ENTRIES // q.size)
+    for start in range(0, steps + 1, chunk):
+        if steps:
+            taus = 2.0 * np.arange(start, min(start + chunk, steps + 1)) * schedule.delta / steps
+        else:
+            taus = np.zeros(1)
+        phi = params.coupling_j * taus
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        step_a = c * cb + (s * sb) * phase_up.conj()[None, :]
+        step_b = (s * cb) * phase_up[None, :] - c * sb
+        ch_a, ch_b = su2_tree(step_a, step_b)
+        acc_a, acc_b = ch_a * acc_a - np.conj(ch_b) * acc_b, ch_b * acc_a + np.conj(ch_a) * acc_b
+        norm = np.sqrt(np.abs(acc_a) ** 2 + np.abs(acc_b) ** 2)
+        acc_a /= norm
+        acc_b /= norm
+    return acc_a, acc_b

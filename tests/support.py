@@ -10,6 +10,8 @@ string and one step at a time) that ``dense.build_hamiltonian`` and
 ``dense.trotter_evolve`` must equal bit for bit.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
 matchgate engine's generator exponential and vacuum algebra;
+``majorana_two_point`` is the complex two-point matrix Gamma whose weighted
+sum ``matchgate.expectation_quadratic`` evaluates without forming it;
 ``matchgate_unitary`` and ``conjugation_rotation`` are their dense
 counterparts, the 2^N unitary of a quadratic generator and the rotation it
 induces on the Majoranas.
@@ -147,6 +149,22 @@ def vacuum_covariance(n_modes: int) -> np.ndarray:
     cov[even, even + 1] = 1.0
     cov[even + 1, even] = -1.0
     return cov
+
+
+def majorana_two_point(rot: np.ndarray) -> np.ndarray:
+    """Gamma_{jk} = <U^dag x_j x_k U> = delta_{jk} + i [R S R^T]_{jk}.
+
+    The antisymmetric part is symmetrized after the matrix products so the
+    diagonal of Gamma is exactly 1; Gamma/2 is the (projector) correlation
+    matrix of the pure Gaussian state.
+    """
+    dim = _check_even_square(rot, "rotation")
+    shuffled = np.empty_like(rot)
+    shuffled[:, 0::2] = -rot[:, 1::2]
+    shuffled[:, 1::2] = rot[:, 0::2]
+    kern = shuffled @ rot.T
+    kern = 0.5 * (kern - kern.T)
+    return np.eye(dim) + 1j * kern
 
 
 def _is_cell_block(h: np.ndarray) -> bool:

@@ -1,6 +1,7 @@
 """Schedules, per-step rotations (signs pinned by the dense oracle), products."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from rotation_oracle import (
     direct_rotation,
     h0_generator,
     h1_generator,
+    half_spectrum_products,
     r0_rotation,
     r1_rotation,
     shift_matrix,
+    su2_tree,
 )
 from support import conjugation_rotation, exp_generator
 
@@ -213,6 +216,57 @@ class TestAdiabaticRotation:
         params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
         sch = TrotterSchedule(total_time=20.0, steps=chunk + offset - 1)
         assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
+
+
+class TestBufferedProduct:
+    """The buffered product against its plain form in ``rotation_oracle``, byte for byte
+    (stricter than equal values: the sign of every zero must match too)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 1025), modes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, modes=3, seed=0)
+    @example(rows=1024, modes=2, seed=1)
+    @example(rows=1025, modes=2, seed=2)
+    def test_tree_is_bitwise_plain(self, rows, modes, seed):
+        gen = np.random.default_rng(seed)
+        a, b = gen.normal(size=(2, rows, modes)) + 1j * gen.normal(size=(2, rows, modes))
+        plain_a, plain_b = su2_tree(a, b)
+        buffers = [np.empty(((rows + 1) // 2, modes), dtype=complex) for _ in range(3)]
+        tree_a, tree_b = adiabatic._su2_tree(a.copy(), b.copy(), *buffers)
+        assert tree_a.tobytes() == plain_a.tobytes() and tree_b.tobytes() == plain_b.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_spins=st.sampled_from([2, 4, 8, 16, 32]),
+        chunk_entries=st.integers(1, 4096),
+        chunks=st.integers(1, 3),
+        offset=st.sampled_from([-1, 0, 1]),
+        b_field=st.floats(-3.0, 3.0),
+        coupling=st.floats(-3.0, 3.0),
+    )
+    @example(n_spins=8, chunk_entries=5, chunks=1, offset=-1, b_field=0.9, coupling=1.3)
+    def test_products_are_bitwise_plain(self, n_spins, chunk_entries, chunks, offset,
+                                        b_field, coupling):
+        # L + 1 steps one short of, equal to and one past whole chunks, for
+        # chunks of one row up to many
+        chunk = max(1, chunk_entries // (n_spins // 2 + 1))
+        steps = max(0, chunks * chunk + offset - 1)
+        params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
+        sch = TrotterSchedule(total_time=20.0, steps=steps)
+        with mock.patch.object(adiabatic, "_CHUNK_ENTRIES", chunk_entries):
+            plain = half_spectrum_products(params, sch)
+            buffered = adiabatic._half_spectrum_products(params, sch)
+        for got, want in zip(buffered, plain):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_spins", [64, 256])
+    @pytest.mark.parametrize("steps", [0, 4095, 30000])
+    def test_full_chunks_are_bitwise_plain(self, n_spins, steps):
+        params = IsingParams(n_spins, field_b=0.7, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=10.0 * n_spins, steps=steps)
+        for got, want in zip(adiabatic._half_spectrum_products(params, sch),
+                             half_spectrum_products(params, sch)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrotterErrorProxy:

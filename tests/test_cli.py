@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from compressed_metrology import adiabatic, circuit, dense
-from compressed_metrology.cli import main
+from compressed_metrology import adiabatic, circuit, dense, metrology
+from compressed_metrology.cli import _emit, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +69,20 @@ class TestSweep:
         assert serial == pooled
 
 
+class TestEmit:
+    def test_shorter_report_over_longer_file(self, tmp_path):
+        out = tmp_path / "report"
+        _emit("x" * 5000 + "\n", str(out))
+        _emit("short\n", str(out))
+        assert out.read_bytes() == b"short\n"
+
+    def test_creates_file_and_writes_to_devices(self, tmp_path):
+        out = tmp_path / "new"
+        _emit("fresh\n", str(out))
+        assert out.read_bytes() == b"fresh\n"
+        _emit("discarded\n", os.devnull)
+
+
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -114,6 +128,22 @@ class TestUsageErrors:
     def test_size_below_curve_minimum(self, capsys, command):
         assert_usage_error(capsys, [*self.BASE[command], "--n", "2"],
                          "--n: mode-1 observables need even N >= 4, got 2")
+
+    def test_magnetization_size_error_names_its_flag(self, capsys):
+        assert_usage_error(capsys, ["scaling", "--n-magnetization", "256,1"],
+                           "--n-magnetization: mode-1 observables need even N >= 4, got 1")
+
+    @pytest.mark.parametrize("flag,value", [("--n", "8"), ("--n", "8,16,8"),
+                                            ("--n-magnetization", "256"),
+                                            ("--n-magnetization", "256,256")])
+    def test_scaling_needs_two_distinct_sizes(self, monkeypatch, capsys, flag, value):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a fit ran before the sizes were checked")
+
+        monkeypatch.setattr(metrology, "fit_power_law", not_reached)
+        assert_usage_error(capsys, ["scaling", flag, value],
+                           f"{flag} needs at least two sizes, none repeated, for the fit, "
+                           f"got {value}")
 
     @pytest.mark.parametrize("command", ["compare", "estimate", "dump", "oracle"])
     @pytest.mark.parametrize("flag,value", [("--l-steps", "0"), ("--t-total", "0"),

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compressed_metrology import dense
+from compressed_metrology import adiabatic, dense
+from compressed_metrology.ising import IsingParams
 from compressed_metrology.matchgate import (
     QuadraticObservable,
     expectation_quadratic,
-    majorana_two_point,
     observable_b_coefficients,
 )
 from conftest import random_antisymmetric
@@ -17,6 +17,7 @@ from support import (
     conjugate_modes,
     exp_generator,
     expectation_z0,
+    majorana_two_point,
     matchgate_unitary,
     vacuum_covariance,
 )
@@ -223,11 +224,53 @@ class TestExpectationQuadratic:
         with pytest.raises(ValueError, match="mismatch"):
             expectation_quadratic(np.eye(4), observable_b_coefficients(4))
 
+    @pytest.mark.parametrize("n_spins", [4, 16, 64, 256])
+    def test_equals_two_point_form(self, n_spins, rng):
+        # The Gamma-free sum has the bits of sum b Gamma, for the k=1
+        # occupation and a random Hermitian form, on an adiabatic rotation.
+        params = IsingParams(n_spins, field_b=0.9, coupling_j=1.0)
+        rot = adiabatic.adiabatic_rotation(
+            params, adiabatic.TrotterSchedule(total_time=2.0 * n_spins, steps=500))
+        gamma = majorana_two_point(rot)
+        dim = 2 * n_spins
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for obs in (observable_b_coefficients(n_spins),
+                    QuadraticObservable((raw + raw.conj().T) / (2.0 * dim))):
+            reference = complex(np.sum(obs.coeffs * gamma))
+            assert expectation_quadratic(rot, obs) == reference.real
+            assert abs(reference.imag) <= 1e-13
+
     def test_non_hermitian_rejected(self):
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             QuadraticObservable(bad)
+
+    @pytest.mark.parametrize("at", [(3, 127), (129, 64), (63, 64), (128, 128)])
+    def test_non_hermitian_rejected_in_any_block(self, at):
+        # dim 130 spans three row blocks of the check, the last one partial.
+        bad = np.zeros((130, 130), dtype=complex)
+        bad[at] = 1.0 if at[0] != at[1] else 1e-11j
+        with pytest.raises(ValueError, match="Hermitian"):
+            QuadraticObservable(bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
+           defect=st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1.0]))
+    def test_hermitian_check_is_allclose(self, half, seed, defect):
+        # Accepts exactly what np.allclose(b, b^dag, atol=1e-12) accepts.
+        gen = np.random.default_rng(seed)
+        dim = 2 * half
+        raw = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        coeffs = raw + raw.conj().T
+        coeffs[tuple(gen.integers(0, dim, size=2))] += defect * (1 + 1j)
+        expected = np.allclose(coeffs, coeffs.conj().T, atol=1e-12)
+        try:
+            QuadraticObservable(coeffs)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
 
 
 class TestObservableBCoefficients:
