@@ -2,13 +2,13 @@
 
 Subcommands: sweep, scaling, compare, estimate, dump, oracle.  Every run is
 deterministic for a fixed seed and configuration: outputs are byte-identical
-across invocations.  Reports are JSON (CSV for flat tables), carry the
-resolved configuration, and the process exits 0 only if every per-command
-tolerance check passed; failures are listed machine-readably in the payload.
+across invocations.  Each ``cmd_<name>(cfg)`` handler takes the resolved
+configuration and returns either text (the sweep CSV, the gate dump), written
+as it is, or the body of a JSON report.  ``main`` wraps a body with the
+schema, command and configuration, adds ``passed`` when the body lists
+``failures``, and exits 1 only when that list is nonempty.
 
 Option precedence: command-line flags > --config JSON file > defaults.
-The CMETRO_WORKERS environment variable sizes the sweep worker pool
-(assembly is order-stable, so the output does not depend on it).
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.truncate()
 
 
-def _json_report(payload: dict, out: str | None) -> None:
-    _emit(json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2) + "\n", out)
-
-
 def _list_of(kind: type):
     def parse(text: str) -> list:
         return [kind(tok) for tok in text.split(",") if tok]
@@ -93,7 +89,7 @@ def _list_of(kind: type):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, strict about unknown keys, value types and empty --g.
+    """flags > config file > defaults; rejects unknown keys, wrong types, nan/inf and empty --g.
 
     The defaults are the command's in ``_COMMANDS``; a config value of null
     stands for the default only where the default is null.
@@ -125,7 +121,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     resolved = {}
     for key, default in defaults.items():
         val = getattr(args, key)
-        resolved[key] = file_cfg.get(key, default) if val is None else val
+        val = resolved[key] = file_cfg.get(key, default) if val is None else val
+        kind, is_list, _ = _OPTIONS[key]
+        vals = val if is_list else [val]
+        # Rejects nan, +-inf (json.load reads NaN and Infinity) and ints past the float range.
+        if kind is float and val is not None and not all(abs(v) <= sys.float_info.max
+                                                         for v in vals):
+            _usage_error(f"--{key.replace('_', '-')} must be finite, "
+                         f"got {','.join(map(str, vals))}")
     if "g" in resolved and not resolved["g"]:
         _usage_error(f"{args.command} needs a nonempty --g list")
     return resolved
@@ -201,56 +204,40 @@ _SWEEP_COLUMNS = ("n", "g", "expected_b", "expected_b_deriv", "variance_b",
                   "expected_m", "expected_m_deriv", "variance_m")
 
 
-def _sweep_row(task: tuple[int, float]) -> tuple:
-    n, g = task
-    return (n, g,
-            ising.expected_b(g, n), ising.expected_b_derivative(g, n), ising.variance_b(g, n),
-            ising.expected_m(g, n), ising.expected_m_derivative(g, n), ising.variance_m(g, n))
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg.pop("out")
+def cmd_sweep(cfg: dict) -> dict | str:
     if cfg["format"] not in _SWEEP_FORMATS:
         _usage_error(f"format must be one of {', '.join(_SWEEP_FORMATS)}, "
                      f"got {json.dumps(cfg['format'])}")
     _check_sizes(cfg["n"], curves=True, chain=False)
-    tasks = sorted((n, g) for n in cfg["n"] for g in cfg["g"])
-    workers = int(os.environ.get("CMETRO_WORKERS", "1"))
-    if workers > 1:
-        # Imported only when a pool runs, so no other run pays for it at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=16))
-    else:
-        rows = [_sweep_row(task) for task in tasks]
-
-    if cfg["format"] == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([str(row[0])] + [_fmt12(v) for v in row[1:]])
-        _emit(buf.getvalue(), out)
-        print(f"config: {json.dumps(cfg)}", file=sys.stderr)
-    else:
-        payload = {
-            "command": "sweep",
-            "config": cfg,
-            "rows": [dict(zip(_SWEEP_COLUMNS, (int(r[0]),) + tuple(map(float, r[1:]))))
-                     for r in rows],
-        }
-        _json_report(payload, out)
-    return 0
+    rows = [(n, g, ising.expected_b(g, n), ising.expected_b_derivative(g, n),
+             ising.variance_b(g, n), ising.expected_m(g, n), ising.expected_m_derivative(g, n),
+             ising.variance_m(g, n))
+            for n, g in sorted((n, g) for n in cfg["n"] for g in cfg["g"])]
+    if cfg["format"] == "json":
+        return {"rows": [dict(zip(_SWEEP_COLUMNS, (int(r[0]),) + tuple(map(float, r[1:]))))
+                         for r in rows]}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([str(row[0])] + [_fmt12(v) for v in row[1:]])
+    print(f"config: {json.dumps(cfg)}", file=sys.stderr)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # scaling
 # ---------------------------------------------------------------------------
 
-def scaling_report(g: float, n_list_b: list[int], n_list_m: list[int], shots: int = 1) -> dict:
-    """Scaling fits plus the acceptance windows; shared with the test suite."""
+def cmd_scaling(cfg: dict) -> dict:
+    """Scaling fits plus the acceptance windows."""
+    g, shots = _one(cfg, "g", "scaling"), cfg["shots"]
+    n_list_b, n_list_m = cfg["n"] or [2**k for k in range(3, 11)], cfg["n_magnetization"]
+    for flag, sizes in (("--n", n_list_b), ("--n-magnetization", n_list_m)):
+        _check_sizes(sizes, curves=True, chain=False, flag=flag)
+        if len(sizes) < 2 or len(set(sizes)) != len(sizes):
+            _usage_error(f"{flag} needs at least two sizes, none repeated, for the fit, "
+                         f"got {','.join(map(str, sizes))}")
     fit_b = metrology.fit_scaling("B", g, n_list_b, shots)
     fit_m = metrology.fit_scaling("M", g, n_list_m, shots)
     var_b_tail = {n: ising.variance_b(g, n) for n in n_list_b if n >= 64}
@@ -284,53 +271,13 @@ def scaling_report(g: float, n_list_b: list[int], n_list_m: list[int], shots: in
     }
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg.pop("out")
-    g = _one(cfg, "g", "scaling")
-    n_list_b = cfg["n"] or [2**k for k in range(3, 11)]
-    for flag, sizes in (("--n", n_list_b), ("--n-magnetization", cfg["n_magnetization"])):
-        _check_sizes(sizes, curves=True, chain=False, flag=flag)
-        if len(sizes) < 2 or len(set(sizes)) != len(sizes):
-            _usage_error(f"{flag} needs at least two sizes, none repeated, for the fit, "
-                         f"got {','.join(map(str, sizes))}")
-    report = scaling_report(g, n_list_b, cfg["n_magnetization"], cfg["shots"])
-    payload = {"command": "scaling", "config": cfg, **report, "passed": not report["failures"]}
-    _json_report(payload, out)
-    return 0 if payload["passed"] else 1
-
-
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
 
-def compare_point(n: int, g: float, schedule: adiabatic.TrotterSchedule, b_dense: np.ndarray,
-                  coupling_j: float = 1.0) -> dict:
-    """<B> four ways at one (N, g); ``b_dense`` is ``dense.observable_b_dense(n)``."""
-    params = ising.IsingParams(n, field_b=g * coupling_j, coupling_j=coupling_j)
-    analytic = ising.expected_b(g, n)
-    rot = adiabatic.adiabatic_rotation(params, schedule)
-    matrix = matchgate.expectation_quadratic(rot, matchgate.observable_b_coefficients(n))
-    gate = circuit.expectation_b_gate(params, schedule)
-    state = dense.trotter_evolve(params, schedule)
-    dense_val = dense.expectation(state, b_dense)
-    return {
-        "n": n,
-        "g": g,
-        "analytic": analytic,
-        "matrix": matrix,
-        "gate": gate,
-        "dense": dense_val,
-        "delta_matrix_gate": abs(matrix - gate),
-        "delta_dense_matrix": abs(dense_val - matrix),
-        "delta_analytic_matrix": abs(analytic - matrix),
-    }
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_compare(cfg: dict) -> dict:
+    """<B> four ways at each (N, g): closed form, SO(2N) rotation, gate circuit, dense state."""
     _apply_b_override(cfg)
-    out = cfg.pop("out")
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
     if sizes[-1] > 8:
@@ -339,10 +286,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     failures = []
     rows = []
     for n, schedule in schedules:
+        b_coeffs = matchgate.observable_b_coefficients(n)
         b_dense = dense.observable_b_dense(n)
         for g in sorted(cfg["g"]):
-            row = compare_point(n, g, schedule, b_dense, coupling_j=cfg["j"])
-            row.update(_schedule_meta(schedule))
+            params = ising.IsingParams(n, field_b=g * cfg["j"], coupling_j=cfg["j"])
+            analytic = ising.expected_b(g, n)
+            rot = adiabatic.adiabatic_rotation(params, schedule)
+            matrix = matchgate.expectation_quadratic(rot, b_coeffs)
+            gate = circuit.expectation_b_gate(params, schedule)
+            dense_val = dense.expectation(dense.trotter_evolve(params, schedule), b_dense)
+            row = {"n": n, "g": g, "analytic": analytic, "matrix": matrix, "gate": gate,
+                   "dense": dense_val, "delta_matrix_gate": abs(matrix - gate),
+                   "delta_dense_matrix": abs(dense_val - matrix),
+                   "delta_analytic_matrix": abs(analytic - matrix), **_schedule_meta(schedule)}
             rows.append(row)
             if row["delta_matrix_gate"] >= MATRIX_GATE_TOL:
                 failures.append(f"matrix/gate mismatch {row['delta_matrix_gate']:.2e} at N={n} g={g}")
@@ -353,10 +309,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     f"analytic delta {row['delta_analytic_matrix']:.2e} above "
                     f"{cfg['analytic_tol']:.2e} at N={n} g={g}"
                 )
-    payload = {"command": "compare", "config": cfg, "rows": rows,
-               "failures": failures, "passed": not failures}
-    _json_report(payload, out)
-    return 0 if payload["passed"] else 1
+    return {"rows": rows, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +338,7 @@ def estimation_run(
     sq_errors = (estimates - g_star) ** 2
     mse = float(np.mean(sq_errors))
     predicted = metrology.precision_b(g_star, n, shots).delta_g_sq
-    out = {
+    return {
         "n": n,
         "g_star": g_star,
         "shots": shots,
@@ -399,16 +352,12 @@ def estimation_run(
         "predicted_delta_g_sq": predicted,
         "mse_over_prediction": mse / predicted,
         "clamped_reps": int(clamped.sum()),
+        "cramer_rao_bound": metrology.cramer_rao(ising.qfi(g_star, n), shots),
     }
-    if n <= 10:
-        out["cramer_rao_bound"] = metrology.cramer_rao(ising.qfi(g_star, n), shots)
-    return out
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_estimate(cfg: dict) -> dict:
     _apply_b_override(cfg)
-    out = cfg.pop("out")
     if cfg["seed"] is None:
         _usage_error("--seed is mandatory for stochastic commands")
     if cfg["seed"] < 0:
@@ -431,33 +380,29 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     failures = []
     if not 0.5 <= report["mse_over_prediction"] <= 2.0:
         failures.append(f"empirical MSE is {report['mse_over_prediction']:.2f}x the prediction")
-    if "cramer_rao_bound" in report:
-        # The moment estimator saturates the bound at N=4, so the Monte-Carlo
-        # MSE estimate straddles it; flag only a statistically significant
-        # (3 sigma) violation of the bound itself.
-        floor = (1 - 1e-6) * report["cramer_rao_bound"] - 3.0 * report["mse_std_error"]
-        if report["empirical_mse"] < floor:
-            failures.append("empirical MSE fell significantly below the Cramer-Rao bound")
-    payload = {"command": "estimate", "config": cfg, **report,
-               "failures": failures, "passed": not failures}
-    _json_report(payload, out)
-    return 0 if payload["passed"] else 1
+    # The moment estimator saturates the bound at N=4, so the Monte-Carlo MSE
+    # estimate straddles it; flag only a statistically significant (3 sigma)
+    # violation of the bound itself.
+    floor = (1 - 1e-6) * report["cramer_rao_bound"] - 3.0 * report["mse_std_error"]
+    if report["empirical_mse"] < floor:
+        failures.append("empirical MSE fell significantly below the Cramer-Rao bound")
+    return {**report, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
 # dump
 # ---------------------------------------------------------------------------
 
-def cmd_dump(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg.pop("out")
+def cmd_dump(cfg: dict) -> str:
     _check_sizes(cfg["n"], curves=False, chain=True)
     n = _one(cfg, "n", "dump")
     m = n.bit_length() - 1
     schedule = _schedule_from(cfg, n)
     params = ising.IsingParams(n, field_b=cfg["b"], coupling_j=cfg["j"])
-    program = circuit.full_program(params, schedule)
-    _emit(circuit.dump_program(program), out)
+    try:
+        program = circuit.full_program(params, schedule)
+    except ValueError as exc:  # over the gate cap, raised before any gate is built
+        _usage_error(str(exc))
     shift = circuit.decompose_shift(m)
     summary = {
         "config": cfg,
@@ -467,16 +412,14 @@ def cmd_dump(args: argparse.Namespace) -> int:
         "lowered_gates_per_shift": circuit.lowered_gate_count(shift),
     }
     print(json.dumps(summary), file=sys.stderr)
-    return 0
+    return circuit.dump_program(program)
 
 
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    out = cfg.pop("out")
+def cmd_oracle(cfg: dict) -> dict:
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=False, chain=True)
     if sizes[-1] > 10:
@@ -504,9 +447,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 "trotter_overlap_sq": float(abs(np.vdot(state, trotter)) ** 2),
                 **_schedule_meta(schedule),
             })
-    payload = {"command": "oracle", "config": cfg, "rows": rows}
-    _json_report(payload, out)
-    return 0
+    return {"rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +461,10 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
-# name -> (handler, summary, defaults).  The defaults name the command's
-# flags, and their order is the order of the report's config block.
+# name -> (handler, summary, defaults).  The handler takes the resolved config
+# and returns a report body or text (see the module docstring).  The defaults
+# name the command's flags, and their order is the order of the report's
+# config block.
 _COMMANDS = {
     "sweep": (cmd_sweep, "analytic observable curves over (N, g) grids",
               {"n": [4, 8, 16], "g": None, "format": "csv", "out": None}),
@@ -548,9 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compressed Ising-chain metrology: sweeps, comparisons, estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, defaults) in _COMMANDS.items():
+    for name, (_, summary, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         for key in defaults:
             kind, is_list, text = _OPTIONS[key]
@@ -561,7 +503,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    cfg = _resolve(args)
+    out = cfg.pop("out")
+    body = _COMMANDS[args.command][0](cfg)
+    if isinstance(body, str):
+        _emit(body, out)
+        return 0
+    report = {"schema": SCHEMA_VERSION, "command": args.command, "config": cfg, **body}
+    if "failures" in body:
+        report["passed"] = not body["failures"]
+    _emit(json.dumps(report, indent=2) + "\n", out)
+    return 0 if report.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """Front-end: flags, config precedence, determinism, golden outputs, exit codes."""
 
+import importlib.util
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from compressed_metrology import adiabatic, circuit, dense, metrology
+from compressed_metrology import adiabatic, circuit, cli, dense, ising, matchgate, metrology
 from compressed_metrology.cli import _emit, main
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def run(tmp_path, *argv, out_name="out"):
@@ -58,15 +60,34 @@ class TestSweep:
         assert_usage_error(capsys, ["sweep", "--n", "4", "--g", ""],
                            "sweep needs a nonempty --g list")
 
-    def test_worker_pool_is_output_invariant(self, tmp_path):
-        _, serial = run(tmp_path, "sweep", "--n", "4,8,16", "--g", "0.5,1.0,1.5")
-        os.environ["CMETRO_WORKERS"] = "2"
-        try:
-            _, pooled = run(tmp_path, "sweep", "--n", "4,8,16", "--g", "0.5,1.0,1.5",
-                            out_name="out2")
-        finally:
-            del os.environ["CMETRO_WORKERS"]
-        assert serial == pooled
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "4", "--g", "1.0", "--format", "json"],
+        ["sweep", "--n", "4", "--g", "1.0"],
+        ["scaling"],
+        ["scaling", "--n", "8,16", "--n-magnetization", "8,16"],
+        ["compare", "--n", "4", "--g", "1.0", "--l-steps", "8"],
+        ["compare", "--n", "4", "--g", "1.0", "--l-steps", "8", "--analytic-tol", "1e-6"],
+        ["estimate", "--n", "4", "--g", "1.0", "--l-steps", "2048", "--shots", "2000",
+         "--reps", "50", "--seed", "7"],
+        ["estimate", "--n", "8", "--g", "1.1", "--t-total", "640", "--l-steps", "512",
+         "--shots", "1000", "--reps", "30", "--seed", "3"],
+        ["dump", "--n", "4", "--l-steps", "1"],
+        ["oracle", "--n", "4", "--l-steps", "8"],
+    ])
+    def test_envelope_and_exit_code(self, tmp_path, argv):
+        """schema, command, config first; passed exactly with failures; exit 1 on a failure."""
+        code, data = run(tmp_path, *argv)
+        if not data.startswith(b"{"):  # the sweep CSV and the gate dump are text
+            assert argv[0] in ("sweep", "dump") and code == 0
+            return
+        report = json.loads(data)
+        assert list(report)[:3] == ["schema", "command", "config"]
+        assert report["command"] == argv[0]
+        assert ("passed" in report) == ("failures" in report)
+        assert report.get("passed", True) == (not report.get("failures"))
+        assert code == (1 if report.get("failures") else 0)
 
 
 class TestEmit:
@@ -228,6 +249,27 @@ class TestUsageErrors:
             cfg.write_text(text)
         assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
 
+    @pytest.mark.parametrize("command,extra,config,message", [
+        ("sweep", ["--g", "nan"], None, "--g must be finite, got nan"),
+        ("oracle", ["--g", "1", "--t-total", "nan"], None, "--t-total must be finite, got nan"),
+        ("compare", ["--g", "inf"], None, "--g must be finite, got inf"),
+        ("dump", ["--b", "nan"], None, "--b must be finite, got nan"),
+        ("estimate", ["--t-total", "inf"], None, "--t-total must be finite, got inf"),
+        ("estimate", ["--window", "0.5,inf"], None, "--window must be finite, got 0.5,inf"),
+        ("estimate", [], '{"g": [1.0, NaN]}', "--g must be finite, got 1.0,nan"),
+        ("compare", [], '{"c_t": -Infinity}', "--c-t must be finite, got -inf"),
+        ("compare", [], '{"analytic_tol": 1e400}', "--analytic-tol must be finite, got inf"),
+        pytest.param("dump", [], '{"j": 1' + "0" * 400 + '}', "--j must be finite, got 1000",
+                     id="int-past-the-float-range"),
+    ])
+    def test_nonfinite_float(self, tmp_path, capsys, command, extra, config, message):
+        argv = [*self.BASE[command], "--n", "4", *extra]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert_usage_error(capsys, argv, message)
+
 
 class TestScaling:
     def test_report_structure(self, tmp_path):
@@ -259,11 +301,15 @@ class TestCompare:
         assert any("analytic delta" in f for f in payload["failures"])
 
     def test_one_dense_observable_per_size(self, tmp_path, monkeypatch):
-        sizes = []
-        build = dense.observable_b_dense
-        monkeypatch.setattr(dense, "observable_b_dense", lambda n: sizes.append(n) or build(n))
+        """The dense <B> operator and its Majorana coefficients are each built once per N."""
+        sizes = {}
+        for module, name in ((dense, "observable_b_dense"),
+                             (matchgate, "observable_b_coefficients")):
+            build, built = getattr(module, name), sizes.setdefault(name, [])
+            monkeypatch.setattr(module, name,
+                                lambda n, build=build, built=built: built.append(n) or build(n))
         code, _ = run(tmp_path, "compare", "--n", "4,8", "--g", "0.5,1.0,1.5", "--l-steps", "8")
-        assert code == 0 and sizes == [4, 8]
+        assert code == 0 and list(sizes.values()) == [[4, 8], [4, 8]]
 
     def test_large_size_rejected(self, capsys):
         assert_usage_error(capsys, ["compare", "--n", "16", "--g", "1.0"],
@@ -320,7 +366,13 @@ class TestEstimate:
         assert code == 0 and payload["passed"]
         assert 0.5 <= payload["mse_over_prediction"] <= 2.0
         assert payload["clamped_reps"] == 0
-        assert "cramer_rao_bound" in payload  # N=4 cross-check size
+        assert "cramer_rao_bound" in payload
+
+    def test_bound_reported_beyond_the_dense_sizes(self, tmp_path):
+        _, data = run(tmp_path, "estimate", "--n", "16", "--g", "1.0", "--t-total", "40",
+                      "--l-steps", "64", "--shots", "100", "--reps", "5", "--seed", "1")
+        payload = json.loads(data)
+        assert payload["cramer_rao_bound"] == metrology.cramer_rao(ising.qfi(1.0, 16), 100)
 
 
 class TestDump:
@@ -340,6 +392,10 @@ class TestDump:
         # per-step shift ladder carries m+1 = 3 controlled gates
         kinds = [g.kind for g in program.gates]
         assert kinds.count("RY") == 2 and kinds.count("RXX") == 2
+
+    def test_gate_cap_is_usage_error(self, capsys):
+        assert_usage_error(capsys, ["dump", "--n", "16"],
+                           "program of 14000014 gates exceeds the materialization cap")
 
 
 class TestOracle:
@@ -364,3 +420,15 @@ class TestOracle:
     def test_size_cap(self, capsys):
         assert_usage_error(capsys, ["oracle", "--n", "16", "--g", "1.0"],
                            "oracle is capped at N <= 10")
+
+
+def test_benchmark_hooks_resolve():
+    """The benchmark's tracer finds every function it wraps, and its checks their tolerances."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # As the benchmark worker does: the CLI module and the layer modules it imports.  Building
+    # the tracer looks up every (module, function) entry and wraps nothing yet.
+    tracing.Tracer({layer: cli if layer == "cli" else getattr(cli, layer)
+                    for layer in tracing.LAYERS})
+    assert cli.MATRIX_GATE_TOL > 0 and cli.DENSE_MATRIX_TOL > 0
