@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-ising      closed-form dispersion, Bogoliubov angles and observable curves
-matchgate  SO(2N) compression engine and quadratic-observable expectations
+ising      closed-form observable curves, their derivatives, variances and QFI
+matchgate  SO(2N) rotation check and the rank-one <B> on the rotation
 adiabatic  Trotter schedules and the compressed rotation product
 circuit    gate-level (m+2)-qubit realization of the compressed protocol
 dense      brute-force state-vector oracle (small N)
@@ -29,20 +29,14 @@ from .circuit import (
 )
 from .ising import (
     IsingParams,
-    bogoliubov_angle,
     expected_b,
     expected_b_derivative,
     expected_m,
     expected_m_derivative,
-    mode_energy,
     variance_b,
     variance_m,
 )
-from .matchgate import (
-    QuadraticObservable,
-    expectation_quadratic,
-    observable_b_coefficients,
-)
+from .matchgate import expectation_quadratic, observable_b_coefficients
 from .metrology import (
     GEstimate,
     PrecisionPoint,

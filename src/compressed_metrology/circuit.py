@@ -354,9 +354,9 @@ def count_ym(reg: CompressedRegister, shots: int, seeds) -> np.ndarray:
 def expectation_b_gate(params: IsingParams, schedule: TrotterSchedule) -> float:
     """<B(B, J)> through the gate path: (1 - <Y_m>)/2 on R^T|Phi>.
 
-    Must coincide with the matrix path expectation_quadratic(R, B-coefficients)
-    to float accuracy for any schedule; the 1/2 offset is the trace term of
-    the quadratic form.
+    Must coincide with the rotation path
+    expectation_quadratic(R, observable_b_coefficients(N)) to float accuracy
+    for any schedule; the 1/2 offset is its |a|^2 = 1/2 term.
     """
     return 0.5 * (1.0 - measure_ym(run_circuit(params, schedule)))
 

@@ -80,6 +80,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.truncate()
 
 
+def _check_out(out: str) -> None:
+    """Usage error unless ``out`` opens for writing; an existing file keeps its contents."""
+    try:
+        os.close(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        _usage_error(f"--out: {exc}")
+
+
 def _list_of(kind: type):
     def parse(text: str) -> list:
         return [kind(tok) for tok in text.split(",") if tok]
@@ -166,11 +174,17 @@ def _check_sizes(sizes: list[int], *, curves: bool, chain: bool, flag: str = "--
 
 
 def _apply_b_override(cfg: dict) -> None:
-    """--b with --j replaces the --g list by B/J; g is undefined at J = 0."""
+    """--b with --j replaces the --g list by B/J; g is undefined at J = 0.
+
+    Finite options can still overflow: every g = B/J and field g*J must be finite.
+    """
     if cfg["j"] == 0:
         _usage_error(f"--j must be nonzero (g = B/J), got {cfg['j']}")
     if cfg["b"] is not None:
         cfg["g"] = [cfg["b"] / cfg["j"]]
+    for g in cfg["g"]:
+        if not (math.isfinite(g) and math.isfinite(g * cfg["j"])):
+            _usage_error(f"couplings must be finite, got g = {g} and B = g*J = {g * cfg['j']}")
 
 
 def _one(cfg: dict, key: str, command: str):
@@ -505,6 +519,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _resolve(args)
     out = cfg.pop("out")
+    if out:
+        _check_out(out)  # before any work runs
     body = _COMMANDS[args.command][0](cfg)
     if isinstance(body, str):
         _emit(body, out)

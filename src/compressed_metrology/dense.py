@@ -151,10 +151,11 @@ def ground_energy(params: IsingParams, parity: int = +1) -> float:
 def observable_b_dense(n_spins: int) -> np.ndarray:
     """Occupation of the first Fourier fermion mode, b_1^dag b_1, as a dense matrix.
 
-    The mode phase is e^{+i 2 pi k / N}, the convention of the compressed
-    circuit's coefficient matrix; the opposite sign labels the mirror mode
-    N-1, which has the identical expectation on every reflection-symmetric
-    state considered here (ground branch and the Trotter-evolved vacuum).
+    The mode phase is e^{+i 2 pi k / N}, the convention of
+    ``matchgate.observable_b_coefficients``; the opposite sign labels the
+    mirror mode N-1, which has the identical expectation on every
+    reflection-symmetric state considered here (ground branch and the
+    Trotter-evolved vacuum).
     """
     _check_operator_size(n_spins)
     xs = majoranas(n_spins)

@@ -7,19 +7,14 @@ branch, i.e. the state adiabatic evolution from |0..0> actually prepares:
 the unpaired modes j = 0 and j = N/2 stay empty for every g, which keeps
 these curves smooth across the transition at g = B/J = 1.
 
-All curves are functions of g alone; B and J individually enter only the
-mode energies.  Mode-sum accumulations use math.fsum (exactly rounded, so
-results are platform independent).
+All curves are functions of g alone.  Mode-sum accumulations use math.fsum
+(exactly rounded, so results are platform independent).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-#: Radicand threshold below which (g, xi) sits on the removable singularity
-#: of the Bogoliubov angle (g = 1, xi = 0, where the gap closes).
-SINGULAR_RADICAND = 1e-300
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -62,38 +57,6 @@ def _radicand(g: float, xi: float) -> float:
     # 1 + g^2 - 2 g cos(xi), written to avoid the cancellation at g ~ 1,
     # xi ~ 0 (the naive form loses ~half the digits for N ~ 2^20).
     return (1.0 - g) ** 2 + 4.0 * g * math.sin(0.5 * xi) ** 2
-
-
-def bogoliubov_angle(params: IsingParams, j: int) -> tuple[float, float]:
-    """(cos theta_j, sin theta_j) of the Bogoliubov rotation for mode j.
-
-    cos theta = (g - cos xi)/r, sin theta = -sin(xi)/r with
-    r = sqrt(1 + g^2 - 2 g cos xi).  At the gap-closing point (g = 1, j = 0)
-    the angle is undefined; by continuity from g > 1 we fix (1, 0), which is
-    the convention of the even-parity branch.
-    """
-    if not 0 <= j < params.n_spins:
-        raise ValueError(f"mode index {j} out of range for N={params.n_spins}")
-    g = params.g
-    xi = mode_xi(params.n_spins, j)
-    rad = _radicand(g, xi)
-    if rad < SINGULAR_RADICAND:
-        return 1.0, 0.0
-    root = math.sqrt(rad)
-    return (g - math.cos(xi)) / root, -math.sin(xi) / root
-
-
-def mode_energy(params: IsingParams, j: int) -> float:
-    """Quasiparticle energy 2*sqrt(J^2 + B^2 - 2 J B cos xi_j).
-
-    Equals 2J*sqrt(1 + g^2 - 2 g cos xi) for J > 0 but stays well defined
-    (and nonnegative) at J = 0.
-    """
-    if not 0 <= j < params.n_spins:
-        raise ValueError(f"mode index {j} out of range for N={params.n_spins}")
-    xi = mode_xi(params.n_spins, j)
-    b, j_ = params.field_b, params.coupling_j
-    return 2.0 * math.sqrt(max(j_ * j_ + b * b - 2.0 * j_ * b * math.cos(xi), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 A product of nearest-neighbour matchgates U = exp(-iH), H = i sum h_{jk} x_j x_k
 with h real antisymmetric, acts on the generators as U^dag x_j U = sum_k R_{jk} x_k
-with R = exp(4h) in SO(2N).  Expectations of quadratic observables in U|0..0>
-then reduce to the vacuum covariance S = 1_N (x) iY:
+with R = exp(4h) in SO(2N).  The only observable evaluated on R is a single
+mode's occupation c^dag c with c = sum_l a_l x_l, a rank-one quadratic form.
+In U|0..0>, whose vacuum covariance is S = 1_N (x) iY, it needs w = R^T a only:
 
-    <0..0| U^dag (sum_{lm} b_{lm} x_l x_m) U |0..0> = sum_{lm} b_{lm} Gamma_{lm},
-    Gamma = I + i R S R^T.
+    <c^dag c> = |a|^2 + i conj(w)^T S w = |a|^2 - 2 Im sum_j conj(w_{2j}) w_{2j+1}.
 """
 
 from __future__ import annotations
@@ -20,29 +20,6 @@ def _check_even_square(mat: np.ndarray, name: str) -> int:
     return mat.shape[0]
 
 
-# Rows per block of the Hermiticity check.
-_HERMITIAN_BLOCK = 64
-
-
-class QuadraticObservable:
-    """Coefficient matrix b of a Hermitian quadratic form sum_{lm} b_{lm} x_l x_m."""
-
-    def __init__(self, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        dim = _check_even_square(coeffs, "coeffs")
-        # b == b^dag within atol, elementwise as np.allclose tests it, one row
-        # block against the matching columns at a time: no full-size copies.
-        for lo in range(0, dim, _HERMITIAN_BLOCK):
-            block = slice(lo, lo + _HERMITIAN_BLOCK)
-            if not np.allclose(coeffs[block], coeffs[:, block].conj().T, atol=1e-12):
-                raise ValueError("coefficient matrix must be Hermitian")
-        self.coeffs = coeffs
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-
 def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float = 1e-8) -> None:
     """Raise unless rot is special orthogonal within the stated tolerances."""
     dim = _check_even_square(rot, "rotation")
@@ -54,51 +31,30 @@ def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float
         raise ValueError(f"determinant not +1 (sign {sign}, |log det| {abs(logdet):.3e})")
 
 
-def expectation_quadratic(rot: np.ndarray, obs: QuadraticObservable) -> float:
-    """Re sum_{jk} b_{jk} Gamma_{jk}; the imaginary part must vanish (Hermitian b).
+def expectation_quadratic(rot: np.ndarray, mode: np.ndarray) -> float:
+    """<c^dag c> for c = sum_l mode_l x_l in the evolved vacuum, real by construction.
 
-    Gamma = 1 + i K with K = (W - W^T)/2 real, W = R S R^T, and K_jj = 0, so
-    b_jk Gamma_jk is -Im(b_jk) K_jk + i Re(b_jk) K_jk off the diagonal and
-    b_jj on it.  Those products are written straight into one complex array,
-    without forming Gamma, and summed as the elementwise product b * Gamma
-    would be: the result has the same bits.
+    R^T acts on the real and imaginary parts of ``mode`` separately, so the
+    real R is never cast to complex.
     """
     dim = _check_even_square(rot, "rotation")
-    if dim != obs.dim:
-        raise ValueError(f"dimension mismatch: rotation {dim}, observable {obs.dim}")
-    shuffled = np.empty_like(rot)
-    shuffled[:, 0::2] = -rot[:, 1::2]
-    shuffled[:, 1::2] = rot[:, 0::2]
-    gram = shuffled @ rot.T
-    # K overwrites ``shuffled`` and W is dropped before ``terms`` exists, for peak memory.
-    kern = np.subtract(gram, gram.T, out=shuffled)
-    kern *= 0.5
-    del gram
-    terms = np.empty_like(obs.coeffs)
-    np.negative(np.multiply(obs.coeffs.imag, kern, out=terms.real), out=terms.real)
-    np.multiply(obs.coeffs.real, kern, out=terms.imag)
-    terms.flat[::dim + 1] = np.diagonal(obs.coeffs)
-    value = complex(np.sum(terms))
-    if abs(value.imag) > 1e-10:
-        raise AssertionError(f"quadratic expectation has imaginary part {value.imag:.3e}")
-    return value.real
+    mode = np.asarray(mode, dtype=complex)
+    if mode.shape != (dim,):
+        raise ValueError(f"dimension mismatch: rotation {dim}, mode {mode.shape}")
+    w = rot.T @ mode.real + 1j * (rot.T @ mode.imag)
+    return float(np.vdot(mode, mode).real - 2.0 * np.vdot(w[0::2], w[1::2]).imag)
 
 
-def observable_b_coefficients(n_spins: int) -> QuadraticObservable:
-    """Majorana coefficients of the k=1 Fourier-mode occupation b_1^dag b_1.
+def observable_b_coefficients(n_spins: int) -> np.ndarray:
+    """Majorana coefficients a of the k=1 Fourier mode b_1 = sum_l a_l x_l.
 
-    b_{2j,2k} = b_{2j+1,2k+1} = p_{jk}, b_{2j,2k+1} = i p_{jk},
-    b_{2j+1,2k} = -i p_{jk} with p_{jk} = exp(i 2 pi (k-j)/N)/(4N).  The
-    (2j+1, 2k+1) sector is required for Hermiticity and for the dense
-    reconstruction to reproduce b_1^dag b_1 (and for the correct trace 1/2).
+    a_{2j} = exp(i 2 pi j/N)/(2 sqrt N) and a_{2j+1} = i a_{2j}, so that
+    |a|^2 = 1/2 and b_1^dag b_1 has the coefficients conj(a_l) a_m.
     """
     if n_spins < 4 or n_spins & (n_spins - 1):
         raise ValueError(f"need N a power of two >= 4, got {n_spins}")
-    idx = np.arange(n_spins)
-    phases = np.exp(2j * np.pi * (idx[None, :] - idx[:, None]) / n_spins) / (4.0 * n_spins)
-    coeffs = np.empty((2 * n_spins, 2 * n_spins), dtype=complex)
-    coeffs[0::2, 0::2] = phases
-    coeffs[1::2, 1::2] = phases
-    coeffs[0::2, 1::2] = 1j * phases
-    coeffs[1::2, 0::2] = -1j * phases
-    return QuadraticObservable(coeffs)
+    phases = np.exp(2j * np.pi * np.arange(n_spins) / n_spins) / (2.0 * np.sqrt(n_spins))
+    mode = np.empty(2 * n_spins, dtype=complex)
+    mode[0::2] = phases
+    mode[1::2] = 1j * phases
+    return mode

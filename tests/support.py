@@ -2,7 +2,8 @@
 
 ``program_permutation`` and ``program_unitary`` give the exact basis map and
 the dense matrix of a gate program, through the gate interpreter;
-``mode_data`` bundles one fermion mode's closed-form quantities;
+``bogoliubov_angle`` and ``mode_energy`` are one fermion mode's closed-form
+angle and quasiparticle energy, and ``mode_data`` bundles them;
 ``sequential_reference`` is the two-qubit sequential scheme's bound that the
 compressed protocol is compared with.  ``hamiltonian_from_strings`` and
 ``trotter_evolve_stepwise`` are the dense oracle's plain forms (one bond
@@ -10,15 +11,16 @@ string and one step at a time) that ``dense.build_hamiltonian`` and
 ``dense.trotter_evolve`` must equal bit for bit.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
 matchgate engine's generator exponential and vacuum algebra;
-``majorana_two_point`` is the complex two-point matrix Gamma whose weighted
-sum ``matchgate.expectation_quadratic`` evaluates without forming it;
-``matchgate_unitary`` and ``conjugation_rotation`` are their dense
-counterparts, the 2^N unitary of a quadratic generator and the rotation it
-induces on the Majoranas.
+``majorana_two_point`` is the complex two-point matrix Gamma, and
+sum_{lm} conj(a_l) a_m Gamma_{lm} is the oracle of the rank-one
+``matchgate.expectation_quadratic``; ``matchgate_unitary`` and
+``conjugation_rotation`` are their dense counterparts, the 2^N unitary of a
+quadratic generator and the rotation it induces on the Majoranas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,43 @@ def program_unitary(program: GateProgram, n_qubits: int) -> np.ndarray:
     return mat
 
 
+#: Radicand threshold below which (g, xi) sits on the removable singularity
+#: of the Bogoliubov angle (g = 1, xi = 0, where the gap closes).
+SINGULAR_RADICAND = 1e-300
+
+
+def bogoliubov_angle(params: IsingParams, j: int) -> tuple[float, float]:
+    """(cos theta_j, sin theta_j) of the Bogoliubov rotation for mode j.
+
+    cos theta = (g - cos xi)/r, sin theta = -sin(xi)/r with
+    r = sqrt(1 + g^2 - 2 g cos xi).  At the gap-closing point (g = 1, j = 0)
+    the angle is undefined; by continuity from g > 1 we fix (1, 0), which is
+    the convention of the even-parity branch.
+    """
+    if not 0 <= j < params.n_spins:
+        raise ValueError(f"mode index {j} out of range for N={params.n_spins}")
+    g = params.g
+    xi = ising.mode_xi(params.n_spins, j)
+    rad = ising._radicand(g, xi)
+    if rad < SINGULAR_RADICAND:
+        return 1.0, 0.0
+    root = math.sqrt(rad)
+    return (g - math.cos(xi)) / root, -math.sin(xi) / root
+
+
+def mode_energy(params: IsingParams, j: int) -> float:
+    """Quasiparticle energy 2*sqrt(J^2 + B^2 - 2 J B cos xi_j).
+
+    Equals 2J*sqrt(1 + g^2 - 2 g cos xi) for J > 0 but stays well defined
+    (and nonnegative) at J = 0.
+    """
+    if not 0 <= j < params.n_spins:
+        raise ValueError(f"mode index {j} out of range for N={params.n_spins}")
+    xi = ising.mode_xi(params.n_spins, j)
+    b, j_ = params.field_b, params.coupling_j
+    return 2.0 * math.sqrt(max(j_ * j_ + b * b - 2.0 * j_ * b * math.cos(xi), 0.0))
+
+
 @dataclass(frozen=True)
 class ModeData:
     """Momentum, Bogoliubov angle and quasiparticle energy of one fermion mode."""
@@ -74,17 +113,17 @@ class ModeData:
 
 def is_singular_mode(params: IsingParams, j: int) -> bool:
     """The gap-closing mode, where ``bogoliubov_angle`` falls back to (1, 0)."""
-    return ising._radicand(params.g, ising.mode_xi(params.n_spins, j)) < ising.SINGULAR_RADICAND
+    return ising._radicand(params.g, ising.mode_xi(params.n_spins, j)) < SINGULAR_RADICAND
 
 
 def mode_data(params: IsingParams, j: int) -> ModeData:
-    cos_t, sin_t = ising.bogoliubov_angle(params, j)
+    cos_t, sin_t = bogoliubov_angle(params, j)
     return ModeData(
         mode_index=j,
         xi=ising.mode_xi(params.n_spins, j),
         cos_theta=cos_t,
         sin_theta=sin_t,
-        energy=ising.mode_energy(params, j),
+        energy=mode_energy(params, j),
         singular=is_singular_mode(params, j),
     )
 

@@ -1,8 +1,10 @@
 """Front-end: flags, config precedence, determinism, golden outputs, exit codes."""
 
+import errno
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,35 @@ class TestEmit:
         _emit("fresh\n", str(out))
         assert out.read_bytes() == b"fresh\n"
         _emit("discarded\n", os.devnull)
+
+
+class TestOut:
+    """--out is checked before any work runs; a run that fails leaves an existing file as it is."""
+
+    @pytest.mark.parametrize("target,code", [
+        ("nodir/x.csv", errno.ENOENT),
+        (".", errno.EISDIR),
+        ("file/x.csv", errno.ENOTDIR),
+    ])
+    def test_bad_path_is_usage_error(self, tmp_path, monkeypatch, capsys, target, code):
+        def not_reached(*args):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(ising, "expected_b", not_reached)
+        (tmp_path / "file").write_text("")
+        argv = ["sweep", "--n", "4", "--g", "1", "--out", str(tmp_path / target)]
+        assert_usage_error(capsys, argv, f"--out: [Errno {code}] {os.strerror(code)}")
+
+    def test_usage_error_keeps_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("previous\n")
+        assert_usage_error(capsys, ["compare", "--n", "16", "--g", "1.0", "--out", str(out)],
+                           "N <= 8 required")
+        assert out.read_text() == "previous\n"
+
+    def test_devnull(self, capsys):
+        assert main(["sweep", "--n", "4", "--g", "1", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigPrecedence:
@@ -248,6 +279,16 @@ class TestUsageErrors:
         if text is not None:
             cfg.write_text(text)
         assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("compare", ["--b", "1e308", "--j", "1e-308"]),
+        ("compare", ["--g", "1e200", "--j", "1e200"]),
+        ("estimate", ["--g", "1e200", "--j", "1e200"]),
+    ])
+    def test_nonfinite_coupling(self, capsys, command, extra):
+        # Finite options whose g = B/J or field B = g*J overflows.
+        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", *extra],
+                           "couplings must be finite, got g = ")
 
     @pytest.mark.parametrize("command,extra,config,message", [
         ("sweep", ["--g", "nan"], None, "--g must be finite, got nan"),
@@ -422,13 +463,32 @@ class TestOracle:
                            "oracle is capped at N <= 10")
 
 
-def test_benchmark_hooks_resolve():
+def load_perfbench(name, monkeypatch):
+    """The benchmark's module ``name``, loaded from its file and registered for the test."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
     """The benchmark's tracer finds every function it wraps, and its checks their tolerances."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing", monkeypatch)
     # As the benchmark worker does: the CLI module and the layer modules it imports.  Building
     # the tracer looks up every (module, function) entry and wraps nothing yet.
     tracing.Tracer({layer: cli if layer == "cli" else getattr(cli, layer)
                     for layer in tracing.LAYERS})
     assert cli.MATRIX_GATE_TOL > 0 and cli.DENSE_MATRIX_TOL > 0
+
+
+def test_benchmark_workloads_run(tmp_path, monkeypatch):
+    """Each benchmark workload's tiny batch calls the package and passes its checks in process.
+
+    This catches a change of call shape or return type that the name lookup above does not.
+    """
+    workloads = load_perfbench("workloads", monkeypatch)
+    for workload in workloads.WHY:
+        inputs = workloads.make_inputs(workload, 3001, tiny=True)
+        for op in workloads.build_ops(cli, workload, inputs, tmp_path):
+            op.check(op.call())

@@ -6,7 +6,7 @@ import pytest
 from compressed_metrology import adiabatic, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
-from support import hamiltonian_from_strings, trotter_evolve_stepwise
+from support import hamiltonian_from_strings, mode_energy, trotter_evolve_stepwise
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -40,7 +40,7 @@ class TestHamiltonian:
         # ferromagnetic side where the mode-0 flip is needed to stay even;
         # the odd sector mirrors it.
         p = IsingParams(n_spins, field_b=g, coupling_j=1.0)
-        eps = [ising.mode_energy(p, j) for j in range(n_spins)]
+        eps = [mode_energy(p, j) for j in range(n_spins)]
         base = -0.5 * sum(eps)
         even_expected = base + (eps[0] if g < 1 else 0.0)
         odd_expected = base + (eps[0] if g > 1 else 0.0)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from compressed_metrology import dense, ising
 from compressed_metrology.ising import IsingParams
-from support import is_singular_mode, mode_data
+from support import bogoliubov_angle, is_singular_mode, mode_data, mode_energy
 
 
 def central_diff(fn, x, step=1e-6):
@@ -47,18 +47,18 @@ class TestBogoliubovAngle:
         p = IsingParams(8, field_b=0.0, coupling_j=1.0)
         for j in range(8):
             xi = ising.mode_xi(8, j)
-            cos_t, sin_t = ising.bogoliubov_angle(p, j)
+            cos_t, sin_t = bogoliubov_angle(p, j)
             assert cos_t == pytest.approx(-math.cos(xi), abs=1e-15)
             assert sin_t == pytest.approx(-math.sin(xi), abs=1e-15)
 
     def test_critical_pi_mode(self):
         p = IsingParams(8, field_b=1.0, coupling_j=1.0)
-        assert ising.bogoliubov_angle(p, 4) == pytest.approx((1.0, 0.0), abs=1e-15)
+        assert bogoliubov_angle(p, 4) == pytest.approx((1.0, 0.0), abs=1e-15)
 
     def test_critical_mode_one_against_dense(self):
         # cos theta_1 = 1 - 2 <b_1^dag b_1> on the even ground state.
         p = IsingParams(8, field_b=1.0, coupling_j=1.0)
-        cos_t, _ = ising.bogoliubov_angle(p, 1)
+        cos_t, _ = bogoliubov_angle(p, 1)
         assert cos_t == pytest.approx(0.3826834323650898, abs=1e-12)
         gs = dense.ground_state_even(p)
         occ = dense.expectation(gs, dense.observable_b_dense(8))
@@ -68,7 +68,7 @@ class TestBogoliubovAngle:
         p = IsingParams(4, field_b=1.0, coupling_j=1.0)
         assert is_singular_mode(p, 0)
         assert not is_singular_mode(p, 1)
-        assert ising.bogoliubov_angle(p, 0) == (1.0, 0.0)
+        assert bogoliubov_angle(p, 0) == (1.0, 0.0)
         assert mode_data(p, 0).singular
 
     def test_mode_data_bundle(self):
@@ -76,8 +76,8 @@ class TestBogoliubovAngle:
         data = mode_data(p, 3)
         assert data.mode_index == 3
         assert data.xi == pytest.approx(3.0 * math.pi / 4.0)
-        assert (data.cos_theta, data.sin_theta) == ising.bogoliubov_angle(p, 3)
-        assert data.energy == ising.mode_energy(p, 3)
+        assert (data.cos_theta, data.sin_theta) == bogoliubov_angle(p, 3)
+        assert data.energy == mode_energy(p, 3)
         assert not data.singular
 
     @settings(max_examples=80, deadline=None)
@@ -89,25 +89,25 @@ class TestBogoliubovAngle:
     def test_angle_normalization(self, g, m, j):
         n = 2**m
         p = IsingParams(n, field_b=g, coupling_j=1.0)
-        cos_t, sin_t = ising.bogoliubov_angle(p, j % n)
+        cos_t, sin_t = bogoliubov_angle(p, j % n)
         assert abs(cos_t**2 + sin_t**2 - 1.0) < 1e-12
 
 
 class TestModeEnergy:
     def test_gap_closes_at_transition(self):
-        assert ising.mode_energy(IsingParams(4, 1.0, 1.0), 0) == 0.0
+        assert mode_energy(IsingParams(4, 1.0, 1.0), 0) == 0.0
 
     def test_zero_field_flat(self):
         p = IsingParams(8, field_b=0.0, coupling_j=1.0)
-        assert all(ising.mode_energy(p, j) == pytest.approx(2.0) for j in range(8))
+        assert all(mode_energy(p, j) == pytest.approx(2.0) for j in range(8))
 
     def test_paramagnetic_value(self):
         # j=1 at N=4: xi = pi/2, 2 sqrt(1 + 4) = 2 sqrt 5
-        val = ising.mode_energy(IsingParams(4, field_b=2.0, coupling_j=1.0), 1)
+        val = mode_energy(IsingParams(4, field_b=2.0, coupling_j=1.0), 1)
         assert val == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-15)
 
     def test_well_defined_without_coupling(self):
-        assert ising.mode_energy(IsingParams(4, field_b=1.5, coupling_j=0.0), 2) == 3.0
+        assert mode_energy(IsingParams(4, field_b=1.5, coupling_j=0.0), 2) == 3.0
 
 
 class TestFourierModeCurves:

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from compressed_metrology import adiabatic, dense
 from compressed_metrology.ising import IsingParams
-from compressed_metrology.matchgate import (
-    QuadraticObservable,
-    expectation_quadratic,
-    observable_b_coefficients,
-)
+from compressed_metrology.matchgate import expectation_quadratic, observable_b_coefficients
 from conftest import random_antisymmetric
 from support import (
     conjugate_modes,
@@ -197,26 +193,33 @@ class TestMajoranaTwoPoint:
                 assert abs(gamma[j, k] - ref) < 1e-10
 
 
+def two_point_oracle(rot: np.ndarray, mode: np.ndarray) -> float:
+    """<c^dag c> = sum_{lm} conj(a_l) a_m Gamma_{lm}, through the full two-point matrix."""
+    value = complex(np.sum(np.outer(mode.conj(), mode) * majorana_two_point(rot)))
+    assert abs(value.imag) <= 1e-13
+    return value.real
+
+
 class TestExpectationQuadratic:
     def test_mode_occupation_on_vacuum(self):
         # |0..0> is the fermionic vacuum: the k=1 mode is empty, matching the
         # g -> infinity limit of the ground-state curve.
+        for n in (4, 8, 256):
+            val = expectation_quadratic(np.eye(2 * n), observable_b_coefficients(n))
+            assert val == pytest.approx(0.0, abs=1e-15)
         n = 4
-        val = expectation_quadratic(np.eye(2 * n), observable_b_coefficients(n))
-        assert val == pytest.approx(0.0, abs=1e-15)
         vac = np.zeros(1 << n, dtype=complex)
         vac[0] = 1.0
         assert dense.expectation(vac, dense.observable_b_dense(n)) == pytest.approx(0.0, abs=1e-15)
 
     def test_z0_consistency(self, rng):
-        # Z_0 = -i x_0 x_1 as a quadratic form: b_{01} = -i/2, b_{10} = i/2.
+        # Z_0 = 1 - 2 c_0^dag c_0 with c_0 = (x_0 + i x_1)/2, the vacuum's first annihilator.
         n = 3
-        coeffs = np.zeros((2 * n, 2 * n), dtype=complex)
-        coeffs[0, 1], coeffs[1, 0] = -0.5j, 0.5j
-        obs = QuadraticObservable(coeffs)
+        mode = np.zeros(2 * n, dtype=complex)
+        mode[0], mode[1] = 0.5, 0.5j
         for _ in range(3):
             rot, _ = random_matchgate_product(n, 4, rng)
-            assert expectation_quadratic(rot, obs) == pytest.approx(
+            assert 1.0 - 2.0 * expectation_quadratic(rot, mode) == pytest.approx(
                 expectation_z0(rot), abs=1e-12
             )
 
@@ -226,71 +229,43 @@ class TestExpectationQuadratic:
 
     @pytest.mark.parametrize("n_spins", [4, 16, 64, 256])
     def test_equals_two_point_form(self, n_spins, rng):
-        # The Gamma-free sum has the bits of sum b Gamma, for the k=1
-        # occupation and a random Hermitian form, on an adiabatic rotation.
+        # The k=1 occupation and a random unit mode on an adiabatic rotation.
         params = IsingParams(n_spins, field_b=0.9, coupling_j=1.0)
         rot = adiabatic.adiabatic_rotation(
             params, adiabatic.TrotterSchedule(total_time=2.0 * n_spins, steps=500))
-        gamma = majorana_two_point(rot)
         dim = 2 * n_spins
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        for obs in (observable_b_coefficients(n_spins),
-                    QuadraticObservable((raw + raw.conj().T) / (2.0 * dim))):
-            reference = complex(np.sum(obs.coeffs * gamma))
-            assert expectation_quadratic(rot, obs) == reference.real
-            assert abs(reference.imag) <= 1e-13
+        random_mode = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for mode in (observable_b_coefficients(n_spins), random_mode / np.linalg.norm(random_mode)):
+            assert abs(expectation_quadratic(rot, mode) - two_point_oracle(rot, mode)) <= 1e-15
 
-    def test_non_hermitian_rejected(self):
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            QuadraticObservable(bad)
-
-    @pytest.mark.parametrize("at", [(3, 127), (129, 64), (63, 64), (128, 128)])
-    def test_non_hermitian_rejected_in_any_block(self, at):
-        # dim 130 spans three row blocks of the check, the last one partial.
-        bad = np.zeros((130, 130), dtype=complex)
-        bad[at] = 1.0 if at[0] != at[1] else 1e-11j
-        with pytest.raises(ValueError, match="Hermitian"):
-            QuadraticObservable(bad)
-
-    @settings(max_examples=60, deadline=None)
-    @given(half=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
-           defect=st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1.0]))
-    def test_hermitian_check_is_allclose(self, half, seed, defect):
-        # Accepts exactly what np.allclose(b, b^dag, atol=1e-12) accepts.
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 4, 8, 16, 64, 128]), seed=st.integers(0, 2**32 - 1))
+    def test_random_modes_equal_two_point_form(self, dim, seed):
         gen = np.random.default_rng(seed)
-        dim = 2 * half
-        raw = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        coeffs = raw + raw.conj().T
-        coeffs[tuple(gen.integers(0, dim, size=2))] += defect * (1 + 1j)
-        expected = np.allclose(coeffs, coeffs.conj().T, atol=1e-12)
-        try:
-            QuadraticObservable(coeffs)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expected
+        rot = exp_generator(random_antisymmetric(dim, gen))
+        mode = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        mode /= np.linalg.norm(mode)
+        assert abs(expectation_quadratic(rot, mode) - two_point_oracle(rot, mode)) <= 1e-15
 
 
 class TestObservableBCoefficients:
     def test_corner_value(self):
-        assert observable_b_coefficients(4).coeffs[0, 0] == pytest.approx(1.0 / 16.0)
-
-    def test_hermitian_exact(self):
-        coeffs = observable_b_coefficients(8).coeffs
-        assert np.array_equal(coeffs, coeffs.conj().T)
+        mode = observable_b_coefficients(4)
+        assert (mode[0], mode[1]) == (0.25, 0.25j)
 
     def test_trace_half(self):
-        assert observable_b_coefficients(16).coeffs.trace() == pytest.approx(0.5)
+        # The trace of the coefficient matrix conj(a) a^T.
+        mode = observable_b_coefficients(16)
+        assert np.vdot(mode, mode).real == pytest.approx(0.5, abs=1e-15)
 
     def test_dense_reconstruction(self):
         n = 4
-        coeffs = observable_b_coefficients(n).coeffs
+        mode = observable_b_coefficients(n)
         xs = dense.majoranas(n)
-        recon = np.zeros((1 << n, 1 << n), dtype=complex)
-        for l in range(2 * n):
-            for m in range(2 * n):
-                if coeffs[l, m] != 0.0:
-                    recon += coeffs[l, m] * (xs[l] @ xs[m])
-        assert np.abs(recon - dense.observable_b_dense(n)).max() < 1e-12
+        b1 = sum(mode[l] * xs[l] for l in range(2 * n))
+        assert np.array_equal(b1.conj().T @ b1, dense.observable_b_dense(n))
+
+    @pytest.mark.parametrize("n_spins", [2, 6, 12])
+    def test_rejects_size(self, n_spins):
+        with pytest.raises(ValueError, match="power of two"):
+            observable_b_coefficients(n_spins)
