@@ -19,7 +19,9 @@ def main():
     params = ising.IsingParams(n, field_b=1.0, coupling_j=0.8)
 
     print(f"N = {n} spins -> m = {m} data qubits + probe + auxiliary")
-    step = circuit.trotter_step_gates(params.field_b, params.coupling_j, 2, schedule, m)
+    # step l = 2 from its two angles: interaction J tau(2), field 4 B Delta
+    step = circuit.trotter_step_gates(params.coupling_j * float(schedule.taus()[2]),
+                                      4.0 * params.field_b * schedule.delta, m)
     print(f"\none Trotter step ({len(step)} gates):")
     print(circuit.dump_program(step))
 

@@ -54,18 +54,10 @@ class TrotterSchedule:
     def delta(self) -> float:
         return self.total_time / (self.steps + 1)
 
-    def tau(self, l: int) -> float:
-        """Ising interaction time of step l.  tau(0) = 0 (also for the L=0 edge)."""
-        if not 0 <= l <= self.steps:
-            raise ValueError(f"step {l} out of range 0..{self.steps}")
-        if l == 0:
-            return 0.0
-        return 2.0 * l * self.delta / self.steps
-
-    def taus(self) -> np.ndarray:
-        if self.steps == 0:
-            return np.zeros(1)
-        return 2.0 * np.arange(self.steps + 1) * self.delta / self.steps
+    def taus(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """tau(l) for l = start..stop-1, by default 0..L; tau(0) = 0, also at L = 0."""
+        stop = self.steps + 1 if stop is None else stop
+        return 2.0 * np.arange(start, stop) * self.delta / max(self.steps, 1)
 
 
 def build_schedule(
@@ -73,21 +65,19 @@ def build_schedule(
     total_time: float | None = None,
     steps: int | None = None,
     *,
-    c_t: float = 10.0,
-    c_l: float = 1.0,
     step_cap: int = 10**6,
     error_budget: float | None = None,
 ) -> TrotterSchedule:
-    """Schedule with desk-scale defaults T = c_t N^2 and L = min(c_l N^5, cap).
+    """Schedule with desk-scale defaults T = 10 N^2 and L = min(N^5, step_cap).
 
     The asymptotically sufficient choice L ~ N^5 is infeasible beyond toy
     sizes, hence the cap; when ``error_budget`` is given, a warning is raised
     if the Trotter proxy L Delta^2 exceeds it so the bias is never silent.
     """
     if total_time is None:
-        total_time = c_t * n_spins**2
+        total_time = 10.0 * n_spins**2
     if steps is None:
-        steps = min(int(c_l * n_spins**5), step_cap)
+        steps = min(n_spins**5, step_cap)
     if total_time <= 0.0 or steps <= 0:
         raise ValueError(
             f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
@@ -164,16 +154,11 @@ def _half_spectrum_products(
     half_a, half_b, scratch = (np.empty(((rows + 1) // 2, q.size), dtype=complex)
                                for _ in range(3))
     for start in range(0, steps + 1, chunk):
-        # tau(l) with the bits of schedule.taus(); the single step of L = 0 has tau = 0
-        if steps:
-            taus = 2.0 * np.arange(start, min(start + chunk, steps + 1)) * schedule.delta / steps
-        else:
-            taus = np.zeros(1)
-        phi = params.coupling_j * taus
+        phi = params.coupling_j * schedule.taus(start, min(start + chunk, steps + 1))
         c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
         # step = G_odd(q, phi) @ G_even(beta) in (a, b) components:
         # a = c cb + (s sb) conj(e^{iq}),  b = (s cb) e^{iq} - c sb
-        ch_a, ch_b = step_a[:taus.size], step_b[:taus.size]
+        ch_a, ch_b = step_a[:phi.size], step_b[:phi.size]
         np.add(c * cb, np.multiply(s * sb, phase_down, out=ch_a), out=ch_a)
         np.subtract(np.multiply(s * cb, phase_up, out=ch_b), c * sb, out=ch_b)
         ch_a, ch_b = _su2_tree(ch_a, ch_b, half_a, half_b, scratch)

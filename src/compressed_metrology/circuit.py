@@ -204,10 +204,9 @@ def _inverse_shift(m: int) -> tuple[Gate, ...]:
     return tuple(reversed(decompose_shift(m).gates))
 
 
-def s1_aux_gates(coupling_j: float, l: int, schedule: TrotterSchedule, m: int) -> GateProgram:
-    """HT . RXX(J tau(l)) . HT on (probe, aux): acts as exp(-i J tau(l) Y) on the
-    probe whenever the auxiliary is in |+>, which the protocol maintains."""
-    angle = coupling_j * schedule.tau(l)
+def s1_aux_gates(angle: float, m: int) -> GateProgram:
+    """HT . RXX(angle) . HT on (probe, aux): acts as exp(-i angle Y) on the probe
+    whenever the auxiliary is in |+>, which the protocol maintains."""
     gates = (
         Gate("HT", (m,)),
         Gate("RXX", (m, m + 1), angle=angle),
@@ -216,20 +215,19 @@ def s1_aux_gates(coupling_j: float, l: int, schedule: TrotterSchedule, m: int) -
     return GateProgram(gates=gates)
 
 
-def trotter_step_gates(
-    field_b: float, coupling_j: float, l: int, schedule: TrotterSchedule, m: int
-) -> GateProgram:
-    """One step of the R^T circuit: R1^T(J, l) then R0^T(B).
+def trotter_step_gates(interaction: float, field: float, m: int) -> GateProgram:
+    """One step of the R^T circuit, R1^T then R0^T, from its two gate angles.
 
     R1^T = A (1 (x) S1) A^dag, hence the inverse ladder, the auxiliary-assisted
-    S1 block, and the forward ladder; R0^T = 1 (x) exp(-i 2 B Delta Y) is the
-    trailing RY(4 B Delta) on the probe.
+    S1 block at ``interaction`` = J tau(l), and the forward ladder; R0^T =
+    1 (x) exp(-i 2 B Delta Y) is the trailing RY(``field``) on the probe, with
+    ``field`` = 4 B Delta.
     """
     gates = (
         _inverse_shift(m)
-        + s1_aux_gates(coupling_j, l, schedule, m).gates
+        + s1_aux_gates(interaction, m).gates
         + decompose_shift(m).gates
-        + (Gate("RY", (m,), angle=4.0 * field_b * schedule.delta),)
+        + (Gate("RY", (m,), angle=field),)
     )
     return GateProgram(gates=gates)
 
@@ -240,9 +238,10 @@ def full_program(params: IsingParams, schedule: TrotterSchedule) -> GateProgram:
     total = (schedule.steps + 1) * (2 * (m + 1) + 4)
     if total > _MAX_DUMP_GATES:
         raise ValueError(f"program of {total} gates exceeds the materialization cap")
+    field = 4.0 * params.field_b * schedule.delta
     gates: list[Gate] = []
-    for l in range(schedule.steps, -1, -1):
-        gates.extend(trotter_step_gates(params.field_b, params.coupling_j, l, schedule, m).gates)
+    for interaction in (params.coupling_j * schedule.taus()[::-1]).tolist():
+        gates.extend(trotter_step_gates(interaction, field, m).gates)
     meta = ProgramMeta(params.n_spins, params.field_b, params.coupling_j,
                        schedule.total_time, schedule.steps)
     return GateProgram(gates=tuple(gates), meta=meta)
@@ -274,13 +273,12 @@ def _monomial(program: GateProgram, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index maps and phases of P_S and P_Y, derived from ``trotter_step_gates``.
 
-    On a one-step schedule with Delta = 1/2 and tau(1) = 1, J = pi/2 and B = 0
-    give the ladder-wrapped S1 block at a = pi/2 (RY(0) is the identity), and
-    B = pi/2, J = 0 give RY(pi) (RXX(0) and the ladder pair cancel).
+    The angles (pi/2, 0) give the ladder-wrapped S1 block at a = pi/2 (RY(0)
+    is the identity), and (0, pi) give RY(pi) (RXX(0) and the ladder pair
+    cancel).
     """
-    schedule = TrotterSchedule(total_time=1.0, steps=1)
-    src_s, phase_s = _monomial(trotter_step_gates(0.0, math.pi / 2.0, 1, schedule, m), m)
-    src_y, phase_y = _monomial(trotter_step_gates(math.pi / 2.0, 0.0, 1, schedule, m), m)
+    src_s, phase_s = _monomial(trotter_step_gates(math.pi / 2.0, 0.0, m), m)
+    src_y, phase_y = _monomial(trotter_step_gates(0.0, math.pi, m), m)
     maps = (src_s, phase_s, src_y, phase_y)
     for arr in maps:
         arr.flags.writeable = False
@@ -290,12 +288,12 @@ def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
 def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> CompressedRegister:
     """Apply R^T(B, J) to |Phi>|+>_a, one compiled Trotter step at a time.
 
-    Step l is U(l) = (cy 1 + sy P_Y)(c_l 1 + s_l P_S) with (c_l, s_l) the
-    cos/sin of J tau(l) and (cy, sy) those of 2 B Delta.  Expanded, that is
-    c_l Q0 + s_l Q1 with Q0 = cy 1 + sy P_Y and Q1 = Q0 P_S: four monomial
+    Step l is U(l) = (cy 1 + sy P_Y)(c 1 + s P_S) with (c, s) the cos/sin
+    of J tau(l) and (cy, sy) those of 2 B Delta.  Expanded, that is
+    c Q0 + s Q1 with Q0 = cy 1 + sy P_Y and Q1 = Q0 P_S: four monomial
     terms, so a step is one gather of the 4N amplitudes through four index
     maps, a multiply by fixed phases, and a contraction with the step weights
-    (c_l, c_l, s_l, s_l).
+    (c, c, s, s).
     """
     m = params.n_spins.bit_length() - 1
     src_s, phase_s, src_y, phase_y = _compiled_step(m)

@@ -45,18 +45,15 @@ _OPTIONS = {
     "reps": (int, False, "Monte Carlo repetitions"),
     "seed": (int, False, "RNG seed (mandatory)"),
     "window": (float, True, "calibration search window lo,hi"),
-    "t_total": (float, False, "adiabatic duration T"),
-    "l_steps": (int, False, "Trotter step count L"),
-    "c_t": (float, False, "default T = c_t * N^2"),
-    "c_l": (float, False, "default L = c_l * N^5 (capped)"),
-    "l_cap": (int, False, "cap on the default L"),
+    "t_total": (float, False, "adiabatic duration T (default 10 N^2)"),
+    "l_steps": (int, False, "Trotter step count L (default min(N^5, 10^6))"),
     "analytic_tol": (float, False, "also check |analytic - matrix| against this tolerance"),
     "error_budget": (float, False, "warn when the Trotter proxy L*Delta^2 exceeds this"),
     "format": (str, False, "csv or json"),
     "out": (str, False, "output path (default stdout)"),
 }
 # Defaults of the Trotter schedule options, shared by every command that runs the chain.
-_SCHEDULE = {"t_total": None, "l_steps": None, "c_t": 10.0, "c_l": 1.0, "l_cap": 10**6}
+_SCHEDULE = {"t_total": None, "l_steps": None}
 _TYPE_NAMES = {int: "an int", float: "a float", str: "a string"}
 
 
@@ -80,12 +77,14 @@ def _emit(text: str, out: str | None) -> None:
             fh.truncate()
 
 
-def _check_out(out: str) -> None:
-    """Usage error unless ``out`` opens for writing; an existing file keeps its contents."""
+def _check_out(out: str) -> bool:
+    """Usage error unless ``out`` opens for writing, keeping an existing file; True if new."""
+    created = not os.path.lexists(out)
     try:
         os.close(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666))
     except OSError as exc:
         _usage_error(f"--out: {exc}")
+    return created
 
 
 def _list_of(kind: type):
@@ -97,10 +96,11 @@ def _list_of(kind: type):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults; rejects unknown keys, wrong types, nan/inf and empty --g.
+    """flags > config file > defaults; rejects unknown keys, wrong types, nan/inf, empty --g.
 
-    The defaults are the command's in ``_COMMANDS``; a config value of null
-    stands for the default only where the default is null.
+    It also rejects a --seed, --shots or --reps below its bound, whichever
+    command reads it.  The defaults are the command's in ``_COMMANDS``; a
+    config value of null stands for the default only where the default is null.
     """
     defaults = _COMMANDS[args.command][2]
     file_cfg = {}
@@ -139,6 +139,10 @@ def _resolve(args: argparse.Namespace) -> dict:
                          f"got {','.join(map(str, vals))}")
     if "g" in resolved and not resolved["g"]:
         _usage_error(f"{args.command} needs a nonempty --g list")
+    for key, low, bound in (("seed", 0, "nonnegative"), ("shots", 1, "at least 1"),
+                            ("reps", 1, "at least 1")):
+        if resolved.get(key) is not None and resolved[key] < low:
+            _usage_error(f"--{key} must be {bound}, got {resolved[key]}")
     return resolved
 
 
@@ -173,6 +177,14 @@ def _check_sizes(sizes: list[int], *, curves: bool, chain: bool, flag: str = "--
             _usage_error(f"{flag}: {exc}")
 
 
+def _check_ratios(ratios: list[float]) -> None:
+    """Usage error unless the closed forms, which reach (1 + |g|)^4 (``ising.qfi``), are finite."""
+    for g in ratios:
+        top = 1.0 + abs(g)
+        if math.isinf(top * top * top * top):
+            _usage_error(f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
+
+
 def _apply_b_override(cfg: dict) -> None:
     """--b with --j replaces the --g list by B/J; g is undefined at J = 0.
 
@@ -185,6 +197,7 @@ def _apply_b_override(cfg: dict) -> None:
     for g in cfg["g"]:
         if not (math.isfinite(g) and math.isfinite(g * cfg["j"])):
             _usage_error(f"couplings must be finite, got g = {g} and B = g*J = {g * cfg['j']}")
+    _check_ratios(cfg["g"])
 
 
 def _one(cfg: dict, key: str, command: str):
@@ -197,8 +210,7 @@ def _one(cfg: dict, key: str, command: str):
 def _schedule_from(cfg: dict, n_spins: int,
                    error_budget: float | None = None) -> adiabatic.TrotterSchedule:
     try:
-        return adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"], c_t=cfg["c_t"],
-                                        c_l=cfg["c_l"], step_cap=cfg["l_cap"],
+        return adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"],
                                         error_budget=error_budget)
     except ValueError as exc:
         _usage_error(str(exc))
@@ -223,6 +235,7 @@ def cmd_sweep(cfg: dict) -> dict | str:
         _usage_error(f"format must be one of {', '.join(_SWEEP_FORMATS)}, "
                      f"got {json.dumps(cfg['format'])}")
     _check_sizes(cfg["n"], curves=True, chain=False)
+    _check_ratios(cfg["g"])
     rows = [(n, g, ising.expected_b(g, n), ising.expected_b_derivative(g, n),
              ising.variance_b(g, n), ising.expected_m(g, n), ising.expected_m_derivative(g, n),
              ising.variance_m(g, n))
@@ -246,6 +259,7 @@ def cmd_sweep(cfg: dict) -> dict | str:
 def cmd_scaling(cfg: dict) -> dict:
     """Scaling fits plus the acceptance windows."""
     g, shots = _one(cfg, "g", "scaling"), cfg["shots"]
+    _check_ratios([g])
     n_list_b, n_list_m = cfg["n"] or [2**k for k in range(3, 11)], cfg["n_magnetization"]
     for flag, sizes in (("--n", n_list_b), ("--n-magnetization", n_list_m)):
         _check_sizes(sizes, curves=True, chain=False, flag=flag)
@@ -374,12 +388,6 @@ def cmd_estimate(cfg: dict) -> dict:
     _apply_b_override(cfg)
     if cfg["seed"] is None:
         _usage_error("--seed is mandatory for stochastic commands")
-    if cfg["seed"] < 0:
-        _usage_error(f"--seed must be nonnegative, got {cfg['seed']}")
-    if cfg["shots"] < 1:
-        _usage_error(f"--shots must be at least 1, got {cfg['shots']}")
-    if cfg["reps"] < 1:
-        _usage_error(f"--reps must be at least 1, got {cfg['reps']}")
     window = cfg["window"]
     if len(window) != 2 or not window[0] < window[1]:
         _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
@@ -446,7 +454,11 @@ def cmd_oracle(cfg: dict) -> dict:
         parity = np.diag(dense.parity_diag(n)).astype(complex)
         for g in sorted(cfg["g"]):
             params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
-            state = dense.ground_state_even(params)
+            try:  # the even-sector ground state, or its QFI, is not well defined here
+                state = dense.ground_state_even(params)
+                qfi = dense.qfi_pure(params)
+            except RuntimeError as exc:
+                _usage_error(f"oracle at N={n}, g={g}: {exc}")
             trotter = dense.trotter_evolve(params, schedule)
             rows.append({
                 "n": n,
@@ -457,7 +469,7 @@ def cmd_oracle(cfg: dict) -> dict:
                 "variance_b": dense.variance(state, b_op),
                 "variance_m": dense.variance(state, m_op),
                 "parity": dense.expectation(state, parity),
-                "qfi": dense.qfi_pure(params),
+                "qfi": qfi,
                 "trotter_overlap_sq": float(abs(np.vdot(state, trotter)) ** 2),
                 **_schedule_meta(schedule),
             })
@@ -519,9 +531,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _resolve(args)
     out = cfg.pop("out")
-    if out:
-        _check_out(out)  # before any work runs
-    body = _COMMANDS[args.command][0](cfg)
+    created = bool(out) and _check_out(out)  # before any work runs
+    try:
+        body = _COMMANDS[args.command][0](cfg)
+    except BaseException:
+        if created:  # stopped before writing: leave no empty file behind
+            os.remove(out)
+        raise
     if isinstance(body, str):
         _emit(body, out)
         return 0

@@ -18,6 +18,7 @@ import numpy as np
 from compressed_metrology import adiabatic
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
+from support import tau
 
 
 def shift_matrix(dim: int) -> np.ndarray:
@@ -62,7 +63,7 @@ def r0_rotation(field_b: float, schedule: TrotterSchedule, n_spins: int) -> np.n
 
 def r1_rotation(coupling_j: float, l: int, schedule: TrotterSchedule, n_spins: int) -> np.ndarray:
     """Per-step interaction rotation R1 = A exp(2 J tau(l) h0) A^T; identity at l = 0."""
-    return np.roll(block_rotation(n_spins, coupling_j * schedule.tau(l)), (1, 1), axis=(0, 1))
+    return np.roll(block_rotation(n_spins, coupling_j * tau(schedule, l)), (1, 1), axis=(0, 1))
 
 
 def mix_even_rows(mat: np.ndarray, c: float, s: float) -> np.ndarray:
@@ -87,7 +88,7 @@ def direct_rotation(
     sb = math.sin(2.0 * params.field_b * schedule.delta)
     for l in range(schedule.steps + 1):
         rot = mix_even_rows(rot, cb, sb)
-        phi = params.coupling_j * schedule.tau(l)
+        phi = params.coupling_j * tau(schedule, l)
         if shifted:
             rot = np.roll(mix_even_rows(np.roll(rot, -1, axis=0), math.cos(phi), math.sin(phi)), 1, axis=0)
         else:

@@ -4,7 +4,9 @@
 the dense matrix of a gate program, through the gate interpreter;
 ``bogoliubov_angle`` and ``mode_energy`` are one fermion mode's closed-form
 angle and quasiparticle energy, and ``mode_data`` bundles them;
-``sequential_reference`` is the two-qubit sequential scheme's bound that the
+``tau`` is one step's interaction time, written apart from
+``TrotterSchedule.taus`` so the oracles check that formula rather than share
+it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
 compressed protocol is compared with.  ``hamiltonian_from_strings`` and
 ``trotter_evolve_stepwise`` are the dense oracle's plain forms (one bond
 string and one step at a time) that ``dense.build_hamiltonian`` and
@@ -30,6 +32,11 @@ from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.circuit import CompressedRegister, GateProgram, apply_program
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.matchgate import _check_even_square
+
+
+def tau(schedule: TrotterSchedule, l: int) -> float:
+    """Ising interaction time 2 l Delta / L of step l; 0 at l = 0, also for L = 0."""
+    return 0.0 if l == 0 else 2.0 * l * schedule.delta / schedule.steps
 
 
 def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:
@@ -174,7 +181,7 @@ def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> n
     u0 = np.exp(1j * params.field_b * delta * h0_diag)
     for l in range(schedule.steps + 1):
         state = u0 * state
-        phases = np.exp(1j * params.coupling_j * schedule.tau(l) / 2.0 * w1)
+        phases = np.exp(1j * params.coupling_j * tau(schedule, l) / 2.0 * w1)
         state = v1 @ (phases * (v1.conj().T @ state))
     return state
 

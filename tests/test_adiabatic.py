@@ -28,7 +28,7 @@ from rotation_oracle import (
     shift_matrix,
     su2_tree,
 )
-from support import conjugation_rotation, exp_generator
+from support import conjugation_rotation, exp_generator, tau
 
 
 class TestSchedule:
@@ -52,11 +52,19 @@ class TestSchedule:
             TrotterSchedule(total_time=0.0, steps=4)
         with pytest.raises(ValueError):
             TrotterSchedule(total_time=1.0, steps=-1)
-        with pytest.raises(ValueError):
-            TrotterSchedule(total_time=1.0, steps=2).tau(3)
 
     def test_degenerate_single_step(self):
-        assert TrotterSchedule(total_time=2.0, steps=0).tau(0) == 0.0
+        assert TrotterSchedule(total_time=2.0, steps=0).taus().tolist() == [0.0]
+
+    @pytest.mark.parametrize("steps", [0, 1, 7, 4096])
+    def test_taus_range_is_bitwise_slice(self, steps):
+        sch = TrotterSchedule(total_time=3.7, steps=steps)
+        full = sch.taus()
+        assert full.size == steps + 1
+        assert full.tolist() == [tau(sch, l) for l in range(steps + 1)]
+        for start, stop in [(0, steps + 1), (1, steps + 1), (steps // 2, steps // 2 + 3)]:
+            stop = min(stop, steps + 1)
+            assert np.array_equal(sch.taus(start, stop), full[start:stop])
 
 
 class TestBuildSchedule:

@@ -26,9 +26,15 @@ from compressed_metrology.circuit import (
 )
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import r0_rotation, r1_rotation, shift_matrix
-from support import program_permutation, program_unitary
+from support import program_permutation, program_unitary, tau
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+
+
+def step_gates(params, sch, l, m):
+    """Step l of the R^T program, its angles from the scalar oracle ``tau``."""
+    return trotter_step_gates(params.coupling_j * tau(sch, l),
+                              4.0 * params.field_b * sch.delta, m)
 
 
 class TestGateValidation:
@@ -122,8 +128,7 @@ class TestDecomposeShift:
 
 class TestS1AuxGates:
     def test_zero_time_is_identity(self):
-        sch = TrotterSchedule(total_time=2.0, steps=3)
-        unitary = program_unitary(s1_aux_gates(1.3, 0, sch, 1), 3)
+        unitary = program_unitary(s1_aux_gates(0.0, 1), 3)
         assert np.abs(unitary - np.eye(8)).max() < 1e-15
 
     @pytest.mark.parametrize("l,coupling", [(1, 0.9), (3, -1.2), (2, 2.4)])
@@ -131,8 +136,8 @@ class TestS1AuxGates:
         # On |j>|+>_a the block equals exp(-i J tau(l) Y) on the probe alone.
         m = 2
         sch = TrotterSchedule(total_time=3.0, steps=3)
-        prog = s1_aux_gates(coupling, l, sch, m)
-        s1 = expm(-1j * coupling * sch.tau(l) * PAULI_Y)
+        prog = s1_aux_gates(coupling * tau(sch, l), m)
+        s1 = expm(-1j * coupling * tau(sch, l) * PAULI_Y)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         unitary = program_unitary(prog, m + 2)
         embed = np.kron(np.kron(np.eye(1 << m), s1), np.outer(plus, plus))
@@ -142,8 +147,7 @@ class TestS1AuxGates:
     def test_quarter_pulse(self):
         # J tau = pi/2 realizes -iY on the probe
         m = 1
-        sch = TrotterSchedule(total_time=np.pi / 2.0, steps=1)  # tau(1) = pi/2
-        prog = s1_aux_gates(1.0, 1, sch, m)
+        prog = s1_aux_gates(np.pi / 2.0, m)
         reg = CompressedRegister(m=m, amplitudes=np.zeros(8, dtype=complex))
         reg.amplitudes[[0, 1]] = 1.0 / np.sqrt(2.0)  # |0>|0>|+>
         circuit.apply_program(reg, prog)
@@ -153,9 +157,8 @@ class TestS1AuxGates:
 
     def test_aux_left_unentangled(self):
         m = 2
-        sch = TrotterSchedule(total_time=1.0, steps=2)
         reg = initial_state(m)
-        circuit.apply_program(reg, s1_aux_gates(0.7, 2, sch, m))
+        circuit.apply_program(reg, s1_aux_gates(0.7, m))
         view = reg.view()
         plus_component = (view[..., 0] + view[..., 1]) / np.sqrt(2.0)
         assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-12
@@ -163,8 +166,7 @@ class TestS1AuxGates:
 
 class TestTrotterStep:
     def test_trivial_step_is_identity(self):
-        sch = TrotterSchedule(total_time=2.0, steps=2)
-        unitary = program_unitary(trotter_step_gates(0.0, 1.1, 0, sch, 2), 4)
+        unitary = program_unitary(trotter_step_gates(0.0, 0.0, 2), 4)
         assert np.abs(unitary - np.eye(16)).max() < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -173,7 +175,8 @@ class TestTrotterStep:
         n = 2**m
         b_field, coupling, l = 0.9, 1.2, 2
         sch = TrotterSchedule(total_time=2.5, steps=3)
-        unitary = program_unitary(trotter_step_gates(b_field, coupling, l, sch, m), m + 2)
+        step = trotter_step_gates(coupling * tau(sch, l), 4.0 * b_field * sch.delta, m)
+        unitary = program_unitary(step, m + 2)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         reduce = np.kron(np.eye(2 * n), plus)
         reduced = reduce @ unitary @ reduce.conj().T
@@ -182,7 +185,7 @@ class TestTrotterStep:
 
     def test_per_step_gate_budget(self):
         for m in (1, 2, 3, 4):
-            prog = trotter_step_gates(1.0, 1.0, 1, TrotterSchedule(1.0, 2), m)
+            prog = trotter_step_gates(1.0, 1.0, m)
             # two shift ladders of m+1 gates, the 3-gate S1 block, one RY
             assert len(prog) == 2 * (m + 1) + 4
 
@@ -204,9 +207,7 @@ class TestRunner:
         sch = TrotterSchedule(total_time=4.0, steps=6)
         reg = initial_state(3)
         for l in range(sch.steps, -1, -1):
-            circuit.apply_program(
-                reg, trotter_step_gates(params.field_b, params.coupling_j, l, sch, 3)
-            )
+            circuit.apply_program(reg, step_gates(params, sch, l, 3))
             view = reg.view()
             plus_component = (view[..., 0] + view[..., 1]) / np.sqrt(2.0)
             assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-10
@@ -220,9 +221,7 @@ class TestCompiledRunner:
         m = params.n_spins.bit_length() - 1
         reg = initial_state(m)
         for l in range(sch.steps, -1, -1):
-            circuit.apply_program(
-                reg, trotter_step_gates(params.field_b, params.coupling_j, l, sch, m)
-            )
+            circuit.apply_program(reg, step_gates(params, sch, l, m))
         return reg.amplitudes
 
     @settings(max_examples=30, deadline=None)
@@ -258,6 +257,17 @@ class TestCompiledRunner:
             counts.append(count)
         assert counts[0] > 0  # the step is compiled from the gate constructors
         assert counts[0] == counts[1]
+
+    def test_compiled_step_builds_no_schedule(self, monkeypatch):
+        def refuse(schedule):
+            raise AssertionError("the compiled step built a TrotterSchedule")
+
+        monkeypatch.setattr(TrotterSchedule, "__post_init__", refuse)
+        circuit._compiled_step.cache_clear()
+        try:
+            assert len(circuit._compiled_step(3)) == 4
+        finally:
+            circuit._compiled_step.cache_clear()
 
 
 class TestMeasurement:

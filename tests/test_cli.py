@@ -3,6 +3,7 @@
 import errno
 import importlib.util
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,13 @@ class TestSweep:
         line = data.decode().splitlines()[1]
         assert "0.146446609407" in line
         assert "0.853553390593" in line
+
+    def test_widest_ratios_stay_finite(self, tmp_path):
+        # The largest |g| the ratio check admits: every curve, and the QFI, is still finite.
+        code, data = run(tmp_path, "sweep", "--n", "4,8", "--g=-1e77,1e77", "--format", "json")
+        assert code == 0
+        assert all(math.isfinite(v) for row in json.loads(data)["rows"] for v in row.values())
+        assert 0.0 < ising.qfi(1e77, 8) and 0.0 < ising.qfi(-1e77, 8)
 
     def test_empty_g_is_usage_error(self, capsys):
         assert_usage_error(capsys, ["sweep", "--n", "4", "--g", ""],
@@ -134,6 +142,15 @@ class TestOut:
         assert main(["sweep", "--n", "4", "--g", "1", "--out", os.devnull]) == 0
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["compare", "--n", "16", "--g", "1.0"], "N <= 8 required"),
+        (["oracle", "--n", "4", "--g", "0", "--l-steps", "8"], "degenerate"),
+    ])
+    def test_usage_error_removes_new_file(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "new.json"
+        assert_usage_error(capsys, [*argv, "--out", str(out)], message)
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config_beat_defaults(self, tmp_path):
@@ -197,6 +214,40 @@ class TestUsageErrors:
                            f"{flag} needs at least two sizes, none repeated, for the fit, "
                            f"got {value}")
 
+    @pytest.mark.parametrize("extra,config,message", [
+        (["--shots", "0"], None, "--shots must be at least 1, got 0"),
+        (["--shots", "-3"], None, "--shots must be at least 1, got -3"),
+        ([], '{"shots": 0}', "--shots must be at least 1, got 0"),
+    ])
+    def test_scaling_shots_below_one(self, tmp_path, monkeypatch, capsys, extra, config, message):
+        # The same check as estimate's (TestEstimate), made once for every command.
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a fit ran before the shots were checked")
+
+        monkeypatch.setattr(metrology, "fit_power_law", not_reached)
+        argv = ["scaling", *extra]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize("argv,g", [
+        (["sweep", "--n", "4", "--g", "1e300"], "1e+300"),
+        (["scaling", "--n", "8,16", "--g", "1e300"], "1e+300"),
+        (["compare", "--n", "4", "--g", "1e200"], "1e+200"),
+        (["estimate", "--n", "4", "--g", "1e200"], "1e+200"),
+        (["sweep", "--n", "4", "--g", "1,-2e77"], "-2e+77"),
+        (["compare", "--n", "4", "--b", "1e100", "--j", "1e-100"], "1e+200"),
+    ])
+    def test_ratio_past_the_closed_forms(self, monkeypatch, capsys, argv, g):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a closed form ran before g was checked")
+
+        monkeypatch.setattr(ising, "_radicand", not_reached)
+        assert_usage_error(capsys, [*self.BASE[argv[0]], *argv[1:]],
+                           f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
+
     @pytest.mark.parametrize("command", ["compare", "estimate", "dump", "oracle"])
     @pytest.mark.parametrize("flag,value", [("--l-steps", "0"), ("--t-total", "0"),
                                             ("--t-total", "-2.5")])
@@ -225,7 +276,7 @@ class TestUsageErrors:
         ("compare", "t_total", "160", "config key 't_total' must be a float, got \"160\""),
         ("dump", "b", [1.0], "config key 'b' must be a float, got [1.0]"),
         ("sweep", "format", 1, "config key 'format' must be a string, got 1"),
-        ("oracle", "l_cap", 1e6, "config key 'l_cap' must be an int, got 1000000.0"),
+        ("oracle", "l_steps", 1e6, "config key 'l_steps' must be an int, got 1000000.0"),
     ])
     def test_wrong_scalar_type_in_config(self, tmp_path, capsys, command, key, value, message):
         cfg = tmp_path / "cfg.json"
@@ -298,7 +349,7 @@ class TestUsageErrors:
         ("estimate", ["--t-total", "inf"], None, "--t-total must be finite, got inf"),
         ("estimate", ["--window", "0.5,inf"], None, "--window must be finite, got 0.5,inf"),
         ("estimate", [], '{"g": [1.0, NaN]}', "--g must be finite, got 1.0,nan"),
-        ("compare", [], '{"c_t": -Infinity}', "--c-t must be finite, got -inf"),
+        ("compare", [], '{"t_total": -Infinity}', "--t-total must be finite, got -inf"),
         ("compare", [], '{"analytic_tol": 1e400}', "--analytic-tol must be finite, got inf"),
         pytest.param("dump", [], '{"j": 1' + "0" * 400 + '}', "--j must be finite, got 1000",
                      id="int-past-the-float-range"),
@@ -461,6 +512,20 @@ class TestOracle:
     def test_size_cap(self, capsys):
         assert_usage_error(capsys, ["oracle", "--n", "16", "--g", "1.0"],
                            "oracle is capped at N <= 10")
+
+    @pytest.mark.parametrize("g,message", [
+        ("0", "oracle at N=4, g=0.0: even-sector ground state degenerate"),
+        # The QFI's central difference steps onto g = 0.
+        ("1e-4", "oracle at N=4, g=0.0001: even-sector ground state degenerate"),
+    ])
+    def test_degenerate_point_is_usage_error(self, capsys, g, message):
+        assert_usage_error(capsys, ["oracle", "--n", "4", "--g", g, "--l-steps", "8"], message)
+
+
+def test_option_table_has_no_dead_keys():
+    """Every option is some command's flag, and every command default has its type and help."""
+    flags = set().union(*(defaults for _, _, defaults in cli._COMMANDS.values()))
+    assert set(cli._OPTIONS) == flags
 
 
 def load_perfbench(name, monkeypatch):
