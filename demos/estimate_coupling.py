@@ -31,7 +31,7 @@ def main():
     estimates, _ = metrology.estimate_counts(counts, shots, n)
 
     mse = float(np.mean((estimates - g_star) ** 2))
-    predicted = metrology.precision_b(g_star, n, shots).delta_g_sq
+    predicted = metrology.precision_b(g_star, n, shots)
     print(f"\nmean estimate  = {estimates.mean():.6f}")
     print(f"empirical MSE  = {mse:.3e}")
     print(f"predicted      = {predicted:.3e}   (ratio {mse / predicted:.2f})")

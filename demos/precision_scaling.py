@@ -20,13 +20,14 @@ def main():
     print(f"{'N':>6} {'dg^2 (mode occ.)':>18} {'dg^2 * N^2':>12} "
           f"{'dg^2 (magnet.)':>16} {'dg^2 * N log^2 N':>17}")
     for n in sizes:
-        pb = metrology.precision_b(1.0, n).delta_g_sq
-        pm = metrology.precision_m(1.0, n).delta_g_sq
+        pb = metrology.precision_b(1.0, n)
+        pm = metrology.precision_m(1.0, n)
         print(f"{n:6d} {pb:18.6e} {pb * n**2:12.5f} {pm:16.6e} "
               f"{pm * n * math.log(n)**2:17.5f}")
 
-    fit_b = metrology.fit_scaling("B", 1.0, [2**k for k in range(3, 11)])
-    fit_m = metrology.fit_scaling("M", 1.0, [2**k for k in range(8, 14)])
+    sizes_b, sizes_m = [2**k for k in range(3, 11)], [2**k for k in range(8, 14)]
+    fit_b = metrology.fit_power_law(sizes_b, [metrology.precision_b(1.0, n) for n in sizes_b])
+    fit_m = metrology.fit_power_law(sizes_m, [metrology.precision_m(1.0, n) for n in sizes_m])
     print(f"\nmode-occupation slope over N = 8..1024:   {fit_b.slope:+.4f}  (Heisenberg: -2)")
     print(f"magnetization slope over N = 256..8192:   {fit_m.slope:+.4f}  (worse than -2 + 1)")
     print(f"asymptote of dg^2 * N^2 for the mode:      {4 * math.pi**2:.5f} = 4 pi^2")

@@ -92,8 +92,14 @@ def build_schedule(
 
 
 def trotter_error_bound(schedule: TrotterSchedule) -> float:
-    """The discretization-error proxy L * Delta^2 (a comparable scale, not a bound constant)."""
-    return schedule.steps * schedule.delta**2
+    """The discretization-error proxy L * Delta^2 (a comparable scale, not a bound constant).
+
+    It is inf where it leaves the float range.
+    """
+    try:
+        return schedule.steps * schedule.delta**2
+    except OverflowError:  # Delta^2 alone; a product past the range is inf already
+        return math.inf
 
 
 def _su2_tree(

@@ -207,13 +207,40 @@ def _one(cfg: dict, key: str, command: str):
     return cfg[key][0]
 
 
-def _schedule_from(cfg: dict, n_spins: int,
+def _schedule_from(cfg: dict, n_spins: int, couplings: list[tuple[float, float]],
                    error_budget: float | None = None) -> adiabatic.TrotterSchedule:
+    """The schedule at N = ``n_spins``; usage error unless its step quantities are finite.
+
+    ``couplings`` lists the (B, J) pairs that run on it.  The Trotter proxy
+    L*Delta^2 goes into the report, and the field angle 4|B|Delta and the
+    largest interaction angle 2|J|Delta into every step's gates.
+    """
     try:
-        return adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"],
-                                        error_budget=error_budget)
+        schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"],
+                                            error_budget=error_budget)
     except ValueError as exc:
         _usage_error(str(exc))
+    delta = schedule.delta
+    quantities = [("the Trotter proxy L*Delta^2", adiabatic.trotter_error_bound(schedule))]
+    for b, j in couplings:
+        quantities += [(f"the field angle 4|B|Delta at B = {b}", 4.0 * abs(b) * delta),
+                       (f"the interaction angle 2|J|Delta at J = {j}", 2.0 * abs(j) * delta)]
+    for name, value in quantities:
+        if not math.isfinite(value):
+            _usage_error(f"{name} is not finite at N={n_spins}, "
+                         f"T={schedule.total_time}, L={schedule.steps}")
+    return schedule
+
+
+def _delta_g_sq(point, g: float, sizes: list[int], shots: int) -> dict[str, float]:
+    """{N: delta g^2} by ``metrology.precision_b`` or ``precision_m``; usage error unless finite."""
+    values = {}
+    for n in sizes:
+        try:
+            values[str(n)] = point(g, n, shots)
+        except ValueError as exc:
+            _usage_error(f"{point.__name__} at N={n}, g={g}: {exc}")
+    return values
 
 
 def _schedule_meta(sch: adiabatic.TrotterSchedule) -> dict:
@@ -266,8 +293,10 @@ def cmd_scaling(cfg: dict) -> dict:
         if len(sizes) < 2 or len(set(sizes)) != len(sizes):
             _usage_error(f"{flag} needs at least two sizes, none repeated, for the fit, "
                          f"got {','.join(map(str, sizes))}")
-    fit_b = metrology.fit_scaling("B", g, n_list_b, shots)
-    fit_m = metrology.fit_scaling("M", g, n_list_m, shots)
+    delta_g_sq_b = _delta_g_sq(metrology.precision_b, g, n_list_b, shots)
+    delta_g_sq_m = _delta_g_sq(metrology.precision_m, g, n_list_m, shots)
+    fit_b = metrology.fit_power_law(n_list_b, list(delta_g_sq_b.values()))
+    fit_m = metrology.fit_power_law(n_list_m, list(delta_g_sq_m.values()))
     var_b_tail = {n: ising.variance_b(g, n) for n in n_list_b if n >= 64}
     flat_dev = metrology.magnetization_flatness(g, n_list_m)
 
@@ -291,8 +320,8 @@ def cmd_scaling(cfg: dict) -> dict:
         "slope_m": fit_m.slope,
         "intercept_m": fit_m.intercept,
         "r_squared_m": fit_m.r_squared,
-        "delta_g_sq_b": {str(n): metrology.precision_b(g, n, shots).delta_g_sq for n in n_list_b},
-        "delta_g_sq_m": {str(n): metrology.precision_m(g, n, shots).delta_g_sq for n in n_list_m},
+        "delta_g_sq_b": delta_g_sq_b,
+        "delta_g_sq_m": delta_g_sq_m,
         "variance_b_tail": {str(n): v for n, v in var_b_tail.items()},
         "m_flatness_deviation": flat_dev,
         "failures": failures,
@@ -310,7 +339,8 @@ def cmd_compare(cfg: dict) -> dict:
     _check_sizes(sizes, curves=True, chain=True)
     if sizes[-1] > 8:
         _usage_error("compare runs the gate/dense legs; N <= 8 required")
-    schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
+    couplings = [(g * cfg["j"], cfg["j"]) for g in cfg["g"]]
+    schedules = [(n, _schedule_from(cfg, n, couplings)) for n in sizes]
     failures = []
     rows = []
     for n, schedule in schedules:
@@ -365,7 +395,7 @@ def estimation_run(
     estimates, clamped = metrology.estimate_counts(counts, shots, n, window=window)
     sq_errors = (estimates - g_star) ** 2
     mse = float(np.mean(sq_errors))
-    predicted = metrology.precision_b(g_star, n, shots).delta_g_sq
+    predicted = metrology.precision_b(g_star, n, shots)
     return {
         "n": n,
         "g_star": g_star,
@@ -393,9 +423,11 @@ def cmd_estimate(cfg: dict) -> dict:
         _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
+    _delta_g_sq(metrology.precision_b, g_star, [n], cfg["shots"])  # finite before the circuit runs
     # The budget warning's proxy is a very loose scale (orders above the
     # measured bias); opt-in only, so sane runs are not drowned in warnings.
-    schedule = _schedule_from(cfg, n, error_budget=cfg["error_budget"])
+    schedule = _schedule_from(cfg, n, [(g_star * cfg["j"], cfg["j"])],
+                              error_budget=cfg["error_budget"])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
                             tuple(cfg["window"]), coupling_j=cfg["j"])
     report.update(_schedule_meta(schedule))
@@ -419,7 +451,7 @@ def cmd_dump(cfg: dict) -> str:
     _check_sizes(cfg["n"], curves=False, chain=True)
     n = _one(cfg, "n", "dump")
     m = n.bit_length() - 1
-    schedule = _schedule_from(cfg, n)
+    schedule = _schedule_from(cfg, n, [(cfg["b"], cfg["j"])])
     params = ising.IsingParams(n, field_b=cfg["b"], coupling_j=cfg["j"])
     try:
         program = circuit.full_program(params, schedule)
@@ -446,7 +478,7 @@ def cmd_oracle(cfg: dict) -> dict:
     _check_sizes(sizes, curves=False, chain=True)
     if sizes[-1] > 10:
         _usage_error("oracle is capped at N <= 10")
-    schedules = [(n, _schedule_from(cfg, n)) for n in sizes]
+    schedules = [(n, _schedule_from(cfg, n, [(g, 1.0) for g in cfg["g"]])) for n in sizes]
     rows = []
     for n, schedule in schedules:
         b_op = dense.observable_b_dense(n)

@@ -25,6 +25,8 @@ _MAX_OPERATOR_SPINS = 12
 _MAX_EVOLVE_SPINS = 10
 # Step phases exponentiated at once in trotter_evolve: 256 kB of complex entries.
 _PHASE_CHUNK_ENTRIES = 1 << 14
+# Central-difference step in g of qfi_pure, checked against its half.
+_QFI_STEP = 1e-4
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -226,7 +228,7 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     return state
 
 
-def qfi_pure(params: IsingParams, fd_step: float = 1e-4) -> float:
+def qfi_pure(params: IsingParams) -> float:
     """Quantum Fisher information of the even-parity ground state w.r.t. g.
 
     Pure-state formula 4*(<d psi|d psi> - |<psi|d psi>|^2) with |d psi> from
@@ -255,11 +257,11 @@ def qfi_pure(params: IsingParams, fd_step: float = 1e-4) -> float:
         # Re/Im split: <psi|dpsi> is purely imaginary after gauge fixing.
         return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(center, dpsi)) ** 2))
 
-    coarse = _estimate(fd_step)
-    fine = _estimate(fd_step / 2.0)
+    coarse = _estimate(_QFI_STEP)
+    fine = _estimate(_QFI_STEP / 2.0)
     if abs(coarse - fine) > 0.01 * max(abs(fine), 1e-30):
         raise RuntimeError(
-            f"QFI finite-difference step {fd_step} not converged "
+            f"QFI finite-difference step {_QFI_STEP} not converged "
             f"(coarse {coarse:.6g} vs halved {fine:.6g})"
         )
     return fine

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# assert_rotation's bounds on max|R R^T - 1| and on |log det R|.
+_ORTHO_TOL = 1e-10
+_DET_TOL = 1e-8
+
 
 def _check_even_square(mat: np.ndarray, name: str) -> int:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
@@ -20,14 +24,14 @@ def _check_even_square(mat: np.ndarray, name: str) -> int:
     return mat.shape[0]
 
 
-def assert_rotation(rot: np.ndarray, *, ortho_tol: float = 1e-10, det_tol: float = 1e-8) -> None:
-    """Raise unless rot is special orthogonal within the stated tolerances."""
+def assert_rotation(rot: np.ndarray) -> None:
+    """Raise unless rot is special orthogonal within _ORTHO_TOL and _DET_TOL."""
     dim = _check_even_square(rot, "rotation")
     defect = np.abs(rot @ rot.T - np.eye(dim)).max()
-    if defect >= ortho_tol:
-        raise ValueError(f"orthogonality defect {defect:.3e} >= {ortho_tol:.1e}")
+    if defect >= _ORTHO_TOL:
+        raise ValueError(f"orthogonality defect {defect:.3e} >= {_ORTHO_TOL:.1e}")
     sign, logdet = np.linalg.slogdet(rot)
-    if sign <= 0 or abs(logdet) > det_tol:
+    if sign <= 0 or abs(logdet) > _DET_TOL:
         raise ValueError(f"determinant not +1 (sign {sign}, |log det| {abs(logdet):.3e})")
 
 

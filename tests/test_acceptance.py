@@ -81,9 +81,10 @@ def test_criterion_3_heisenberg_scaling(capsys):
     """Slope of log dg^2(B) vs log N in [-2.1, -1.9]; Var B within 2% of 1/4 for N >= 64."""
     start = time.perf_counter()
     sizes = [2**k for k in range(3, 11)]
-    fit = metrology.fit_scaling("B", 1.0, sizes)
+    delta_g_sq = [metrology.precision_b(1.0, n) for n in sizes]
+    fit = metrology.fit_power_law(sizes, delta_g_sq)
     var_devs = [abs(ising.variance_b(1.0, n) - 0.25) / 0.25 for n in sizes if n >= 64]
-    band = [metrology.precision_b(1.0, n).delta_g_sq * n**2 for n in sizes if n >= 32]
+    band = [v * n**2 for v, n in zip(delta_g_sq, sizes) if n >= 32]
     elapsed = time.perf_counter() - start
     ok = -2.1 <= fit.slope <= -1.9 and max(var_devs) < 0.02 and elapsed < 5.0
     _report(capsys, "3 (Heisenberg scaling)", ok, elapsed,
@@ -109,8 +110,9 @@ def test_criterion_4_magnetization_suboptimality(capsys):
     """
     start = time.perf_counter()
     sizes = [2**k for k in range(8, 14)]
-    fit = metrology.fit_scaling("M", 1.0, sizes)
-    flat_log1 = [metrology.precision_m(1.0, n).delta_g_sq * n * math.log(n) for n in sizes]
+    delta_g_sq = [metrology.precision_m(1.0, n) for n in sizes]
+    fit = metrology.fit_power_law(sizes, delta_g_sq)
+    flat_log1 = [v * n * math.log(n) for v, n in zip(delta_g_sq, sizes)]
     mid1 = 0.5 * (max(flat_log1) + min(flat_log1))
     dev1 = (max(flat_log1) - mid1) / mid1
     dev2 = metrology.magnetization_flatness(1.0, sizes)

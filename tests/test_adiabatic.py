@@ -56,6 +56,13 @@ class TestSchedule:
     def test_degenerate_single_step(self):
         assert TrotterSchedule(total_time=2.0, steps=0).taus().tolist() == [0.0]
 
+    @pytest.mark.parametrize("total_time,steps", [
+        (1e200, 8),         # Delta^2 overflows
+        (1.001e156, 1000),  # Delta^2 = 1e306 is finite, L * Delta^2 is not
+    ])
+    def test_proxy_past_the_float_range_is_inf(self, total_time, steps):
+        assert trotter_error_bound(TrotterSchedule(total_time, steps)) == math.inf
+
     @pytest.mark.parametrize("steps", [0, 1, 7, 4096])
     def test_taus_range_is_bitwise_slice(self, steps):
         sch = TrotterSchedule(total_time=3.7, steps=steps)

@@ -1,10 +1,12 @@
 """Front-end: flags, config precedence, determinism, golden outputs, exit codes."""
 
+import ast
 import errno
 import importlib.util
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -13,8 +15,9 @@ import pytest
 from compressed_metrology import adiabatic, circuit, cli, dense, ising, matchgate, metrology
 from compressed_metrology.cli import _emit, main
 
-GOLDEN = Path(__file__).parent / "golden"
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+PERFBENCH = ROOT / "perfbench"
 
 
 def run(tmp_path, *argv, out_name="out"):
@@ -248,6 +251,37 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE[argv[0]], *argv[1:]],
                            f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["scaling", "--n", "8,16", "--g", "1e60"],
+         "precision_b at N=8, g=1e+60: g is not identifiable"),
+        (["scaling", "--n", "8,16", "--g", "1e52"],
+         "precision_m at N=256, g=1e+52: g is not identifiable"),
+        (["estimate", "--n", "4", "--g", "1e60"],
+         "precision_b at N=4, g=1e+60: g is not identifiable"),
+    ])
+    def test_delta_g_sq_past_the_float_range(self, capsys, argv, message):
+        # g passes the closed-form check, but |d<A>/dg|^2 underflows or Var/|d<A>/dg|^2 overflows.
+        assert_usage_error(capsys, [*self.BASE[argv[0]], *argv[1:]], message)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compare", "--t-total", "1e308"], "the Trotter proxy L*Delta^2 is not finite at "
+                                            "N=4, T=1e+308, L=8"),
+        (["oracle", "--t-total", "1e200"], "the Trotter proxy L*Delta^2 is not finite at "
+                                           "N=4, T=1e+200, L=8"),
+        (["estimate", "--t-total", "1e200"], "the Trotter proxy L*Delta^2 is not finite at "
+                                             "N=4, T=1e+200, L=8"),
+        (["dump", "--t-total", "1e308"], "the Trotter proxy L*Delta^2 is not finite at "
+                                         "N=4, T=1e+308, L=1"),
+        (["compare", "--g", "1", "--j", "1e308", "--t-total", "10"],
+         "the field angle 4|B|Delta at B = 1e+308 is not finite at N=4, T=10.0, L=8"),
+        (["estimate", "--j", "1e308", "--t-total", "10"],
+         "the field angle 4|B|Delta at B = 1e+308 is not finite at N=4, T=10.0, L=8"),
+        (["compare", "--g", "1e-10", "--j", "1e308", "--t-total", "10"],
+         "the interaction angle 2|J|Delta at J = 1e+308 is not finite at N=4, T=10.0, L=8"),
+    ])
+    def test_step_quantity_past_the_float_range(self, capsys, argv, message):
+        assert_usage_error(capsys, [*self.BASE[argv[0]], "--n", "4", *argv[1:]], message)
+
     @pytest.mark.parametrize("command", ["compare", "estimate", "dump", "oracle"])
     @pytest.mark.parametrize("flag,value", [("--l-steps", "0"), ("--t-total", "0"),
                                             ("--t-total", "-2.5")])
@@ -364,6 +398,21 @@ class TestUsageErrors:
 
 
 class TestScaling:
+    def test_fits_are_the_reports_own_values(self, tmp_path, monkeypatch):
+        """Each fit is fit_power_law over the report's delta g^2, and B is evaluated once per N."""
+        calls = []
+        precision_b = metrology.precision_b
+        monkeypatch.setattr(metrology, "precision_b",
+                            lambda g, n, shots=1: calls.append(n) or precision_b(g, n, shots))
+        code, data = run(tmp_path, "scaling", "--n", "8,16,32,64", "--shots", "3")
+        report = json.loads(data)
+        assert code == 0 and calls == [8, 16, 32, 64]
+        for obs in ("b", "m"):
+            values = report[f"delta_g_sq_{obs}"]
+            fit = metrology.fit_power_law([int(n) for n in values], list(values.values()))
+            assert [report[f"{key}_{obs}"] for key in ("slope", "intercept", "r_squared")] == \
+                [fit.slope, fit.intercept, fit.r_squared]
+
     def test_report_structure(self, tmp_path):
         code, data = run(tmp_path, "scaling")
         payload = json.loads(data)
@@ -526,6 +575,55 @@ def test_option_table_has_no_dead_keys():
     """Every option is some command's flag, and every command default has its type and help."""
     flags = set().union(*(defaults for _, _, defaults in cli._COMMANDS.values()))
     assert set(cli._OPTIONS) == flags
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of the package is named outside its definition."""
+    texts = {path: path.read_text() for folder in ("src", "tests", "demos", "perfbench")
+             for path in (ROOT / folder).rglob("*.py")}
+    dead = []
+    for path in sorted((ROOT / "src" / "compressed_metrology").glob("*.py")):
+        lines = texts[path].splitlines()
+        for node in ast.parse(texts[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elsewhere = [text for other, text in texts.items() if other != path]
+            elsewhere.append("\n".join(lines[:first - 1] + lines[node.end_lineno:]))
+            if not any(re.search(rf"\b{node.name}\b", text) for text in elsewhere):
+                dead.append(f"{path.name}:{node.name}")
+    assert dead == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "json"],
+    ["scaling"],
+    ["scaling", "--shots", "7", "--g", "0.9"],
+    ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "32"],
+    list(TestEstimate.ARGS),
+    ["oracle", "--n", "4", "--g", "1.0", "--t-total", "160", "--l-steps", "1024"],
+    ["scaling", "--n", "8,16", "--g", "1e60"],
+    ["scaling", "--n", "8,16", "--g", "1e52"],
+    ["estimate", "--n", "4", "--g", "1e60", "--seed", "1", "--l-steps", "8"],
+    ["compare", "--n", "4", "--g", "1", "--t-total", "1e308", "--l-steps", "8"],
+    ["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
+    ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200", "--l-steps", "8"],
+    ["compare", "--n", "4", "--g", "1", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
+    ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--j", "1e308", "--t-total", "10",
+     "--l-steps", "8"],
+])
+def test_reports_are_strict_json(tmp_path, argv):
+    """A report holds no NaN or Infinity, which JSON does not have; a usage error writes none."""
+    def reject(constant):
+        raise ValueError(f"{constant} in the report")
+
+    out = tmp_path / "report.json"
+    try:
+        main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        assert exc.code == 2 and not out.exists()
+        return
+    json.loads(out.read_text(), parse_constant=reject)
 
 
 def load_perfbench(name, monkeypatch):
