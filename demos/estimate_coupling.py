@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end coupling estimation on the compressed register.
 
-Pipeline: run the (m+2)-qubit circuit once at the true g, count the +1
-outcomes of each repetition's Y-shots on the probe, invert the calibration
-curve once per distinct count, compare the empirical spread against the
-error-propagation prediction and the quantum Cramer-Rao bound from the dense
-oracle.
+Pipeline: evaluate the (m+2)-qubit circuit's <B> once at the true g, from
+the one SU(2) product of its k = 1 sector (the probe state and both Trotter
+layers never leave it), count the +1 outcomes of each repetition's Y-shots on
+the probe, invert the calibration curve once per distinct count, compare the
+empirical spread against the error-propagation prediction and the quantum
+Cramer-Rao bound from the dense oracle.
 
-Run with: python3 demos/estimate_coupling.py   (takes about a second)
+Run with: python3 demos/estimate_coupling.py   (takes under a second)
 """
 
 import numpy as np
@@ -22,12 +23,11 @@ def main():
     print(f"N = {n} spins compressed to {n.bit_length() + 1} qubits; "
           f"true g = {g_star}, {shots} shots x {reps} repetitions")
     params = ising.IsingParams(n, field_b=g_star, coupling_j=1.0)
-    reg = circuit.run_circuit(params, schedule)
-    circuit_b = 0.5 * (1.0 - circuit.measure_ym(reg))
+    circuit_b = adiabatic.momentum_b(params, schedule)
     print(f"circuit <B> = {circuit_b:.6f}  (analytic {ising.expected_b(g_star, n):.6f})")
 
     rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    counts = circuit.count_ym(reg, shots, rep_seeds)
+    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, rep_seeds)
     estimates, _ = metrology.estimate_counts(counts, shots, n)
 
     mse = float(np.mean((estimates - g_star) ** 2))

@@ -17,9 +17,11 @@ so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
 momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
 multiplies the steps of momenta 0..N/2 in cache-sized chunks and undoes the
 Fourier transform with one inverse FFT over the 2x2 blocks; this is the only
-product path, written through ``out=`` buffers allocated once per call.  The
-test suite keeps the step-by-step product of the 2N x 2N rotations and the
-allocating per-momentum product, which this one equals bit for bit, as oracles.
+product path, written through ``out=`` buffers allocated once per call.
+``momentum_b`` runs the same product at the one momentum 2 pi / N that the
+protocol's <B> lives in.  The test suite keeps the step-by-step product of the
+2N x 2N rotations and the allocating per-momentum product, which this one
+equals bit for bit, as oracles.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ def build_schedule(
     The asymptotically sufficient choice L ~ N^5 is infeasible beyond toy
     sizes, hence the cap; when ``error_budget`` is given, a warning is raised
     if the Trotter proxy L Delta^2 exceeds it so the bias is never silent.
+    A proxy that is not finite raises ValueError, before any warning.
     """
     if total_time is None:
         total_time = 10.0 * n_spins**2
@@ -82,9 +85,13 @@ def build_schedule(
         raise ValueError(
             f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
     schedule = TrotterSchedule(total_time=float(total_time), steps=int(steps))
-    if error_budget is not None and trotter_error_bound(schedule) > error_budget:
+    proxy = trotter_error_bound(schedule)
+    if math.isinf(proxy):
+        raise ValueError(f"the Trotter proxy L*Delta^2 is not finite at N={n_spins}, "
+                         f"T={schedule.total_time}, L={schedule.steps}")
+    if error_budget is not None and proxy > error_budget:
         warnings.warn(
-            f"Trotter proxy L*Delta^2 = {trotter_error_bound(schedule):.3g} exceeds "
+            f"Trotter proxy L*Delta^2 = {proxy:.3g} exceeds "
             f"the error budget {error_budget:.3g}; increase L or lower T",
             stacklevel=2,
         )
@@ -135,18 +142,17 @@ def _su2_tree(
     return src_a[0], src_b[0]
 
 
-def _half_spectrum_products(
-    params: IsingParams, schedule: TrotterSchedule
+def _momentum_products(
+    params: IsingParams, schedule: TrotterSchedule, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of the ordered per-momentum SU(2) products at q_k = 2 pi k / N, k = 0..N/2.
+    """(a, b) of the ordered SU(2) products [[a, -conj(b)], [b, conj(a)]] at each momentum q.
 
-    Momentum k sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
+    Momentum q sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
     are streamed in chunks of about _CHUNK_ENTRIES (step, mode) entries, each
     reduced by a pairwise tree and folded into the running product.  The step
     arrays and the tree's level buffers are allocated once per call.
     """
-    n, steps = params.n_spins, schedule.steps
-    q = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    steps = schedule.steps
     beta = 2.0 * params.field_b * schedule.delta
     cb, sb = math.cos(beta), math.sin(beta)
     phase_up = np.exp(1j * q)
@@ -175,6 +181,27 @@ def _half_spectrum_products(
         acc_a /= norm
         acc_b /= norm
     return acc_a, acc_b
+
+
+def _half_spectrum_products(
+    params: IsingParams, schedule: TrotterSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the per-momentum products at q_k = 2 pi k / N, k = 0..N/2."""
+    n = params.n_spins
+    return _momentum_products(params, schedule, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
+
+
+def momentum_b(params: IsingParams, schedule: TrotterSchedule) -> float:
+    """<B> of the protocol from the one SU(2) product U at q = 2 pi / N, in O(L) at any N.
+
+    The probe state |Phi> is a k = 1 plane wave and both Trotter layers are
+    cell-circulant, so R^T|Phi> stays in the two-dimensional k = 1 sector:
+    this is the circuit restricted to that subspace, not an approximation.
+    With U = [[a, -conj(b)], [b, conj(a)]] and chi = (1, i)/sqrt(2),
+    <B> = (1 - <chi|U^dag Y U|chi>)/2 = (1 - Re(a^2 + b^2))/2.
+    """
+    a, b = _momentum_products(params, schedule, np.array([2.0 * np.pi / params.n_spins]))
+    return float(0.5 * (1.0 - (a[0] * a[0] + b[0] * b[0]).real))
 
 
 def adiabatic_rotation(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:

@@ -325,24 +325,24 @@ def measure_ym(reg: CompressedRegister) -> float:
     return float((2.0 * np.imag(np.sum(lo.conj() * hi))))
 
 
-def _p_plus(reg: CompressedRegister, shots: int) -> float:
-    """Probability of the +1 outcome of Y on the probe, clamped to [0, 1]; checks ``shots``."""
+def _p_plus(y: float, shots: int) -> float:
+    """P(+1) of Y on the probe at <Y> = ``y``, clamped to [0, 1]; checks ``shots``."""
     if shots < 1:
         raise ValueError("need at least one shot")
-    return min(max(0.5 * (1.0 + measure_ym(reg)), 0.0), 1.0)
+    return min(max(0.5 * (1.0 + y), 0.0), 1.0)
 
 
-def sample_ym(reg: CompressedRegister, shots: int, seed: int) -> np.ndarray:
-    """i.i.d. +-1 samples of Y on the probe; deterministic for a fixed seed."""
-    p_plus = _p_plus(reg, shots)
+def sample_ym(y: float, shots: int, seed: int) -> np.ndarray:
+    """i.i.d. +-1 samples of Y on the probe at <Y> = ``y``; deterministic for a fixed seed."""
+    p_plus = _p_plus(y, shots)
     rng = np.random.default_rng(seed)
     return np.where(rng.random(shots) < p_plus, 1, -1)
 
 
-def count_ym(reg: CompressedRegister, shots: int, seeds) -> np.ndarray:
-    """Per seed, the count of +1 samples ``sample_ym(reg, shots, seed)`` returns,
-    from the same uniforms, with one probe read and no samples array."""
-    p_plus = _p_plus(reg, shots)
+def count_ym(y: float, shots: int, seeds) -> np.ndarray:
+    """Per seed, the count of +1 samples ``sample_ym(y, shots, seed)`` returns,
+    from the same uniforms, with no samples array."""
+    p_plus = _p_plus(y, shots)
     counts = np.empty(len(seeds), dtype=np.int64)
     for i, seed in enumerate(seeds):
         counts[i] = np.count_nonzero(np.random.default_rng(int(seed)).random(shots) < p_plus)

@@ -211,9 +211,9 @@ def _schedule_from(cfg: dict, n_spins: int, couplings: list[tuple[float, float]]
                    error_budget: float | None = None) -> adiabatic.TrotterSchedule:
     """The schedule at N = ``n_spins``; usage error unless its step quantities are finite.
 
-    ``couplings`` lists the (B, J) pairs that run on it.  The Trotter proxy
-    L*Delta^2 goes into the report, and the field angle 4|B|Delta and the
-    largest interaction angle 2|J|Delta into every step's gates.
+    ``couplings`` lists the (B, J) pairs that run on it.  ``build_schedule``
+    checks the Trotter proxy L*Delta^2; here the field angle 4|B|Delta and
+    the largest interaction angle 2|J|Delta go into every step's gates.
     """
     try:
         schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"],
@@ -221,14 +221,12 @@ def _schedule_from(cfg: dict, n_spins: int, couplings: list[tuple[float, float]]
     except ValueError as exc:
         _usage_error(str(exc))
     delta = schedule.delta
-    quantities = [("the Trotter proxy L*Delta^2", adiabatic.trotter_error_bound(schedule))]
     for b, j in couplings:
-        quantities += [(f"the field angle 4|B|Delta at B = {b}", 4.0 * abs(b) * delta),
-                       (f"the interaction angle 2|J|Delta at J = {j}", 2.0 * abs(j) * delta)]
-    for name, value in quantities:
-        if not math.isfinite(value):
-            _usage_error(f"{name} is not finite at N={n_spins}, "
-                         f"T={schedule.total_time}, L={schedule.steps}")
+        for name, value in ((f"the field angle 4|B|Delta at B = {b}", 4.0 * abs(b) * delta),
+                            (f"the interaction angle 2|J|Delta at J = {j}", 2.0 * abs(j) * delta)):
+            if not math.isfinite(value):
+                _usage_error(f"{name} is not finite at N={n_spins}, "
+                             f"T={schedule.total_time}, L={schedule.steps}")
     return schedule
 
 
@@ -333,7 +331,7 @@ def cmd_scaling(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(cfg: dict) -> dict:
-    """<B> four ways at each (N, g): closed form, SO(2N) rotation, gate circuit, dense state."""
+    """<B> five ways per (N, g): closed form, rotation, k = 1 kernel, gate circuit, dense state."""
     _apply_b_override(cfg)
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
@@ -351,15 +349,19 @@ def cmd_compare(cfg: dict) -> dict:
             analytic = ising.expected_b(g, n)
             rot = adiabatic.adiabatic_rotation(params, schedule)
             matrix = matchgate.expectation_quadratic(rot, b_coeffs)
+            kernel = adiabatic.momentum_b(params, schedule)
             gate = circuit.expectation_b_gate(params, schedule)
             dense_val = dense.expectation(dense.trotter_evolve(params, schedule), b_dense)
-            row = {"n": n, "g": g, "analytic": analytic, "matrix": matrix, "gate": gate,
-                   "dense": dense_val, "delta_matrix_gate": abs(matrix - gate),
+            row = {"n": n, "g": g, "analytic": analytic, "matrix": matrix, "kernel": kernel,
+                   "gate": gate, "dense": dense_val, "delta_matrix_gate": abs(matrix - gate),
+                   "delta_kernel_gate": abs(kernel - gate),
                    "delta_dense_matrix": abs(dense_val - matrix),
                    "delta_analytic_matrix": abs(analytic - matrix), **_schedule_meta(schedule)}
             rows.append(row)
             if row["delta_matrix_gate"] >= MATRIX_GATE_TOL:
                 failures.append(f"matrix/gate mismatch {row['delta_matrix_gate']:.2e} at N={n} g={g}")
+            if row["delta_kernel_gate"] >= MATRIX_GATE_TOL:
+                failures.append(f"kernel/gate mismatch {row['delta_kernel_gate']:.2e} at N={n} g={g}")
             if row["delta_dense_matrix"] >= DENSE_MATRIX_TOL:
                 failures.append(f"dense/matrix mismatch {row['delta_dense_matrix']:.2e} at N={n} g={g}")
             if cfg["analytic_tol"] is not None and row["delta_analytic_matrix"] > cfg["analytic_tol"]:
@@ -384,14 +386,15 @@ def estimation_run(
     window: tuple[float, float],
     coupling_j: float = 1.0,
 ) -> dict:
-    """Circuit once -> +1 count per repetition -> one inversion per distinct count.
+    """<B> once -> +1 count per repetition -> one inversion per distinct count.
 
-    Repetition r gets the bits of ``estimate_g(sample_ym(reg, shots, seed_r))``.
+    <B> is the circuit's, from its k = 1 sector (``adiabatic.momentum_b``);
+    repetition r gets the bits of ``estimate_g(sample_ym(1 - 2 <B>, shots, seed_r))``.
     """
     params = ising.IsingParams(n, field_b=g_star * coupling_j, coupling_j=coupling_j)
-    reg = circuit.run_circuit(params, schedule)
+    circuit_b = adiabatic.momentum_b(params, schedule)
     rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    counts = circuit.count_ym(reg, shots, rep_seeds)
+    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, rep_seeds)
     estimates, clamped = metrology.estimate_counts(counts, shots, n, window=window)
     sq_errors = (estimates - g_star) ** 2
     mse = float(np.mean(sq_errors))
@@ -401,7 +404,7 @@ def estimation_run(
         "g_star": g_star,
         "shots": shots,
         "reps": reps,
-        "circuit_b": 0.5 * (1.0 - circuit.measure_ym(reg)),
+        "circuit_b": circuit_b,
         "analytic_b": ising.expected_b(g_star, n),
         "mean_estimate": float(np.mean(estimates)),
         "bias": float(np.mean(estimates) - g_star),
@@ -478,6 +481,10 @@ def cmd_oracle(cfg: dict) -> dict:
     _check_sizes(sizes, curves=False, chain=True)
     if sizes[-1] > 10:
         _usage_error("oracle is capped at N <= 10")
+    for g in cfg["g"]:  # the diagonal of H reaches |B| N, with B = g
+        if math.isinf(g * sizes[-1]):
+            _usage_error(f"the field term B*N of the dense Hamiltonian is not finite "
+                         f"at N={sizes[-1]}, g={g}")
     schedules = [(n, _schedule_from(cfg, n, [(g, 1.0) for g in cfg["g"]])) for n in sizes]
     rows = []
     for n, schedule in schedules:
@@ -529,7 +536,7 @@ _COMMANDS = {
     "scaling": (cmd_scaling, "precision-scaling fits and windows",
                 {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
                  "shots": 1, "out": None}),
-    "compare": (cmd_compare, "analytic vs matrix vs gate vs dense <B>",
+    "compare": (cmd_compare, "analytic vs matrix vs kernel vs gate vs dense <B>",
                 {"n": [4], "g": [0.5, 1.0, 1.5], "b": None, "j": 1.0, **_SCHEDULE,
                  "analytic_tol": None, "out": None}),
     "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",

@@ -1,6 +1,7 @@
 """Schedules, per-step rotations (signs pinned by the dense oracle), products."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from compressed_metrology import adiabatic, dense, ising, matchgate
+from compressed_metrology import adiabatic, circuit, dense, ising, matchgate
 from compressed_metrology.adiabatic import (
     TrotterSchedule,
     adiabatic_rotation,
@@ -92,6 +93,13 @@ class TestBuildSchedule:
     def test_error_budget_warning(self):
         with pytest.warns(UserWarning, match="exceeds"):
             build_schedule(4, total_time=100.0, steps=10, error_budget=1e-3)
+
+    def test_proxy_past_the_float_range_raises_before_the_budget_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the Trotter proxy L\\*Delta\\^2 is not finite "
+                                                 "at N=4, T=1e\\+200, L=8"):
+                build_schedule(4, total_time=1e200, steps=8, error_budget=1.0)
 
 
 class TestGenerators:
@@ -282,6 +290,48 @@ class TestBufferedProduct:
         for got, want in zip(adiabatic._half_spectrum_products(params, sch),
                              half_spectrum_products(params, sch)):
             assert got.tobytes() == want.tobytes()
+
+
+class TestMomentumKernel:
+    """<B> from the one SU(2) product at q = 2 pi / N against the gate runner and the rotation."""
+
+    @pytest.mark.parametrize("n_spins", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("g", [0.7, 1.0, 1.3])
+    def test_matches_gate_runner(self, n_spins, g):
+        params = IsingParams(n_spins, field_b=g, coupling_j=1.0)
+        for steps in (0, 1, 7, 4096):
+            sch = TrotterSchedule(total_time=10.0 * n_spins**2, steps=steps)
+            assert abs(adiabatic.momentum_b(params, sch)
+                       - circuit.expectation_b_gate(params, sch)) < 1e-12
+
+    @pytest.mark.parametrize("n_spins", [8, 64])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_matches_gate_runner_across_a_chunk(self, n_spins, offset):
+        # L + 1 steps filling one whole single-momentum chunk (65 536 rows), and one past it
+        params = IsingParams(n_spins, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=10.0 * n_spins**2,
+                              steps=adiabatic._CHUNK_ENTRIES - 1 + offset)
+        assert abs(adiabatic.momentum_b(params, sch)
+                   - circuit.expectation_b_gate(params, sch)) < 1e-12
+
+    @pytest.mark.parametrize("n_spins", [4, 16, 64, 256])
+    @pytest.mark.parametrize("g", [0.7, 1.0, 1.3])
+    def test_matches_rotation(self, n_spins, g):
+        params = IsingParams(n_spins, field_b=g, coupling_j=1.0)
+        mode = matchgate.observable_b_coefficients(n_spins)
+        for steps in (0, 3, 2000):
+            sch = TrotterSchedule(total_time=10.0 * n_spins**2, steps=steps)
+            rot = adiabatic_rotation(params, sch)
+            assert abs(adiabatic.momentum_b(params, sch)
+                       - matchgate.expectation_quadratic(rot, mode)) < 1e-13
+
+    @pytest.mark.parametrize("steps", [0, 65535, 200_000])
+    def test_product_is_unitary(self, steps):
+        params = IsingParams(16, field_b=0.9, coupling_j=1.1)
+        sch = TrotterSchedule(total_time=2560.0, steps=steps)
+        a, b = adiabatic._momentum_products(params, sch, np.array([2.0 * np.pi / 16]))
+        assert a.shape == b.shape == (1,)
+        assert abs(abs(a[0]) ** 2 + abs(b[0]) ** 2 - 1.0) < 1e-14
 
 
 class TestTrotterErrorProxy:

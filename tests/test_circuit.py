@@ -289,35 +289,36 @@ class TestMeasurement:
         assert measure_ym(reg) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sampling_eigenstate(self):
-        samples = sample_ym(initial_state(2), shots=500, seed=11)
+        samples = sample_ym(1.0, shots=500, seed=11)
         assert np.array_equal(samples, np.ones(500, dtype=samples.dtype))
 
     def test_sampling_determinism(self):
-        reg = run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16))
-        first = sample_ym(reg, shots=1000, seed=42)
-        second = sample_ym(reg, shots=1000, seed=42)
+        y = measure_ym(run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16)))
+        first = sample_ym(y, shots=1000, seed=42)
+        second = sample_ym(y, shots=1000, seed=42)
         assert np.array_equal(first, second)
-        assert not np.array_equal(first, sample_ym(reg, shots=1000, seed=43))
+        assert not np.array_equal(first, sample_ym(y, shots=1000, seed=43))
 
     def test_counts_match_samples(self):
-        reg = run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16))
+        y = measure_ym(run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16)))
         seeds = np.random.default_rng(5).integers(0, 2**63, size=20)
         for shots in (1, 7, 1000):
-            counts = circuit.count_ym(reg, shots, seeds)
+            counts = circuit.count_ym(y, shots, seeds)
             assert counts.dtype == np.int64
-            assert counts.tolist() == [int((sample_ym(reg, shots, int(s)) == 1).sum())
+            assert counts.tolist() == [int((sample_ym(y, shots, int(s)) == 1).sum())
                                        for s in seeds]
-        assert circuit.count_ym(initial_state(2), 500, [11, 12]).tolist() == [500, 500]
+        assert circuit.count_ym(1.0, 500, [11, 12]).tolist() == [500, 500]
         with pytest.raises(ValueError):
-            circuit.count_ym(reg, 0, seeds)
+            circuit.count_ym(y, 0, seeds)
+
+    def test_out_of_range_y_is_clamped(self):
+        # Roundoff can put <Y> a few ulps past +-1.
+        assert circuit.count_ym(1.0 + 1e-15, 100, [3]).tolist() == [100]
+        assert circuit.count_ym(-1.0 - 1e-15, 100, [3]).tolist() == [0]
 
     def test_sampling_concentration(self):
-        reg = initial_state(1)
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = 1.0  # probe |0>: <Y> = 0
-        reg.amplitudes = amps
         shots = 100_000
-        mean = sample_ym(reg, shots=shots, seed=3).mean()
+        mean = sample_ym(0.0, shots=shots, seed=3).mean()
         assert abs(mean) < 4.0 / np.sqrt(shots)
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -192,8 +193,8 @@ class TestUsageErrors:
             raise AssertionError("a path ran before the inputs were checked")
 
         for module, name in ((circuit, "run_circuit"), (circuit, "full_program"),
-                             (adiabatic, "adiabatic_rotation"), (dense, "trotter_evolve"),
-                             (dense, "ground_state_even")):
+                             (adiabatic, "adiabatic_rotation"), (adiabatic, "momentum_b"),
+                             (dense, "trotter_evolve"), (dense, "ground_state_even")):
             monkeypatch.setattr(module, name, not_reached)
 
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate"])
@@ -432,7 +433,16 @@ class TestCompare:
         assert code == 0 and payload["passed"]
         for row in payload["rows"]:
             assert row["delta_matrix_gate"] < 1e-9
+            assert row["delta_kernel_gate"] == abs(row["kernel"] - row["gate"]) < 1e-12
             assert row["delta_dense_matrix"] < 1e-9
+
+    def test_kernel_gate_mismatch_fails(self, tmp_path, monkeypatch):
+        kernel = adiabatic.momentum_b
+        monkeypatch.setattr(adiabatic, "momentum_b", lambda *args: kernel(*args) + 1e-6)
+        code, data = run(tmp_path, "compare", "--n", "4", "--g", "1.0", "--l-steps", "8")
+        payload = json.loads(data)
+        assert code == 1 and len(payload["failures"]) == 1
+        assert payload["failures"][0].startswith("kernel/gate mismatch 1.00e-06 at N=4 g=1.0")
 
     def test_analytic_tolerance_failure(self, tmp_path):
         code, data = run(tmp_path, "compare", "--n", "4", "--g", "1.0", "--l-steps", "8",
@@ -481,7 +491,28 @@ class TestEstimate:
             raise AssertionError("the circuit ran before the inputs were checked")
 
         monkeypatch.setattr(circuit, "run_circuit", not_reached)
+        monkeypatch.setattr(adiabatic, "momentum_b", not_reached)
         assert_usage_error(capsys, [*self.ARGS, flag, value], message)
+
+    def test_runs_no_gate_circuit(self, tmp_path, monkeypatch):
+        """<B> comes from the k = 1 kernel alone; the gate runner is a cross-check leg."""
+        def not_reached(*args):
+            raise AssertionError("estimate ran the gate-level circuit")
+
+        monkeypatch.setattr(circuit, "run_circuit", not_reached)
+        monkeypatch.setattr(circuit, "measure_ym", not_reached)
+        code, data = run(tmp_path, *self.ARGS)
+        assert code == 0 and data == (GOLDEN / "estimate.json").read_bytes()
+
+    def test_infinite_proxy_is_one_error_line_without_a_budget_warning(self, tmp_path, capsys):
+        out = tmp_path / "new.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a budget warning would end the run here
+            assert_usage_error(capsys, ["estimate", "--n", "4", "--g", "1", "--seed", "1",
+                                        "--t-total", "1e200", "--l-steps", "8",
+                                        "--error-budget", "1", "--out", str(out)],
+                               "the Trotter proxy L*Delta^2 is not finite at N=4, T=1e+200, L=8")
+        assert not out.exists()
 
     def test_error_budget_warns_from_the_one_schedule(self, tmp_path, monkeypatch):
         calls = []
@@ -570,6 +601,19 @@ class TestOracle:
     def test_degenerate_point_is_usage_error(self, capsys, g, message):
         assert_usage_error(capsys, ["oracle", "--n", "4", "--g", g, "--l-steps", "8"], message)
 
+    def test_field_term_past_the_float_range(self, tmp_path, capsys):
+        # 8 * 4e307 overflows; 4 * 4e307 and 8 * 1e300 do not
+        out = tmp_path / "new.json"
+        assert_usage_error(capsys, ["oracle", "--n", "4,8", "--g", "1,4e307", "--t-total", "1",
+                                    "--l-steps", "8", "--out", str(out)],
+                           "the field term B*N of the dense Hamiltonian is not finite "
+                           "at N=8, g=4e+307")
+        assert not out.exists()
+        code, data = run(tmp_path, "oracle", "--n", "8", "--g", "1e300", "--t-total", "1",
+                         "--l-steps", "8")
+        row = json.loads(data, parse_constant=lambda c: pytest.fail(f"{c} in the report"))["rows"][0]
+        assert code == 0 and row["parity"] == pytest.approx(1.0)
+
 
 def test_option_table_has_no_dead_keys():
     """Every option is some command's flag, and every command default has its type and help."""
@@ -608,6 +652,7 @@ def test_every_public_name_has_a_caller():
     ["compare", "--n", "4", "--g", "1", "--t-total", "1e308", "--l-steps", "8"],
     ["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200", "--l-steps", "8"],
+    ["oracle", "--n", "4", "--g", "4e307", "--t-total", "1", "--l-steps", "8"],
     ["compare", "--n", "4", "--g", "1", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--j", "1e308", "--t-total", "10",
      "--l-steps", "8"],

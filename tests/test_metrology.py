@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compressed_metrology import circuit, dense, ising
+from compressed_metrology import adiabatic, circuit, dense, ising
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.metrology import (
@@ -191,12 +191,12 @@ class TestEstimateCounts:
     def test_equals_per_rep_estimate(self, g, shots, seeds, center, half_width):
         # Narrow windows around a center away from g clamp most repetitions.
         n_spins = 4
-        reg = circuit.run_circuit(IsingParams(n_spins, field_b=g, coupling_j=1.0),
-                                  TrotterSchedule(total_time=10.0, steps=32))
+        y = 1.0 - 2.0 * adiabatic.momentum_b(IsingParams(n_spins, field_b=g, coupling_j=1.0),
+                                             TrotterSchedule(total_time=10.0, steps=32))
         window = (center - half_width, center + half_width)
-        g_hat, clamped = estimate_counts(circuit.count_ym(reg, shots, seeds), shots, n_spins,
+        g_hat, clamped = estimate_counts(circuit.count_ym(y, shots, seeds), shots, n_spins,
                                          window=window)
-        expected = [estimate_g(circuit.sample_ym(reg, shots, s), n_spins, window=window)
+        expected = [estimate_g(circuit.sample_ym(y, shots, s), n_spins, window=window)
                     for s in seeds]
         assert g_hat.tolist() == [est.g_hat for est in expected]
         assert clamped.tolist() == [est.clamped for est in expected]
