@@ -3,10 +3,11 @@
 
 Pipeline: evaluate the (m+2)-qubit circuit's <B> once at the true g, from
 the one SU(2) product of its k = 1 sector (the probe state and both Trotter
-layers never leave it), count the +1 outcomes of each repetition's Y-shots on
-the probe, invert the calibration curve once per distinct count, compare the
-empirical spread against the error-propagation prediction and the quantum
-Cramer-Rao bound from the dense oracle.
+layers never leave it), draw each repetition's count of +1 outcomes among its
+Y-shots on the probe as one binomial variate, invert the calibration curve in
+closed form at every count, compare the empirical spread against the
+error-propagation prediction and the quantum Cramer-Rao bound from the dense
+oracle.
 
 Run with: python3 demos/estimate_coupling.py   (takes under a second)
 """
@@ -26,8 +27,7 @@ def main():
     circuit_b = adiabatic.momentum_b(params, schedule)
     print(f"circuit <B> = {circuit_b:.6f}  (analytic {ising.expected_b(g_star, n):.6f})")
 
-    rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, rep_seeds)
+    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, reps, seed)
     estimates, _ = metrology.estimate_counts(counts, shots, n)
 
     mse = float(np.mean((estimates - g_star) ** 2))

@@ -339,14 +339,14 @@ def sample_ym(y: float, shots: int, seed: int) -> np.ndarray:
     return np.where(rng.random(shots) < p_plus, 1, -1)
 
 
-def count_ym(y: float, shots: int, seeds) -> np.ndarray:
-    """Per seed, the count of +1 samples ``sample_ym(y, shots, seed)`` returns,
-    from the same uniforms, with no samples array."""
-    p_plus = _p_plus(y, shots)
-    counts = np.empty(len(seeds), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        counts[i] = np.count_nonzero(np.random.default_rng(int(seed)).random(shots) < p_plus)
-    return counts
+def count_ym(y: float, shots: int, reps: int, seed: int) -> np.ndarray:
+    """Count of +1 outcomes among ``shots`` Y-shots on the probe at <Y> = ``y``, per repetition.
+
+    A repetition's count is Binomial(shots, P(+1)), the law of the +1 count
+    of ``sample_ym``'s shots; one exact binomial variate per repetition
+    replaces the shots.  Deterministic for a fixed seed.
+    """
+    return np.random.default_rng(seed).binomial(shots, _p_plus(y, shots), size=reps)
 
 
 def expectation_b_gate(params: IsingParams, schedule: TrotterSchedule) -> float:

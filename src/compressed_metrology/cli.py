@@ -98,9 +98,10 @@ def _list_of(kind: type):
 def _resolve(args: argparse.Namespace) -> dict:
     """flags > config file > defaults; rejects unknown keys, wrong types, nan/inf, empty --g.
 
-    It also rejects a --seed, --shots or --reps below its bound, whichever
-    command reads it.  The defaults are the command's in ``_COMMANDS``; a
-    config value of null stands for the default only where the default is null.
+    It also rejects a --seed, --shots or --reps below its bound, and --shots
+    above 2**53, whichever command reads it.  The defaults are the command's
+    in ``_COMMANDS``; a config value of null stands for the default only where
+    the default is null.
     """
     defaults = _COMMANDS[args.command][2]
     file_cfg = {}
@@ -143,6 +144,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                             ("reps", 1, "at least 1")):
         if resolved.get(key) is not None and resolved[key] < low:
             _usage_error(f"--{key} must be {bound}, got {resolved[key]}")
+    # Up to 2**53 shots a +1 count and the +-1 sum 2 k - shots are exact floats.
+    if resolved.get("shots") is not None and resolved["shots"] > 2**53:
+        _usage_error(f"--shots must be at most 2**53, got {resolved['shots']}")
     return resolved
 
 
@@ -386,15 +390,16 @@ def estimation_run(
     window: tuple[float, float],
     coupling_j: float = 1.0,
 ) -> dict:
-    """<B> once -> +1 count per repetition -> one inversion per distinct count.
+    """<B> once -> one binomial +1 count per repetition -> closed-form inversion of all counts.
 
-    <B> is the circuit's, from its k = 1 sector (``adiabatic.momentum_b``);
-    repetition r gets the bits of ``estimate_g(sample_ym(1 - 2 <B>, shots, seed_r))``.
+    <B> is the circuit's, from its k = 1 sector (``adiabatic.momentum_b``).
+    Each repetition's count of +1 outcomes among ``shots`` Y-shots is drawn
+    from its exact law, Binomial(shots, (1 + <Y>)/2) with <Y> = 1 - 2 <B>;
+    the count fixes the shot mean, which is all the estimator reads.
     """
     params = ising.IsingParams(n, field_b=g_star * coupling_j, coupling_j=coupling_j)
     circuit_b = adiabatic.momentum_b(params, schedule)
-    rep_seeds = np.random.default_rng(seed).integers(0, 2**63, size=reps)
-    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, rep_seeds)
+    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, reps, seed)
     estimates, clamped = metrology.estimate_counts(counts, shots, n, window=window)
     sq_errors = (estimates - g_star) ** 2
     mse = float(np.mean(sq_errors))

@@ -3,8 +3,9 @@
 The estimator is calibration-curve inversion of the shot mean (method of
 moments): its asymptotic variance is exactly the error-propagation ratio
 Var[A] / (nu |d<A>/dg|^2), which is what the scaling statements quantify.
-A shot mean is fixed by its count of +1 outcomes, so ``estimate_counts``
-inverts the curve once per distinct count over a batch of repetitions.
+A shot mean is fixed by its count of +1 outcomes, and <B>(g) has a
+closed-form inverse, so ``estimate_counts`` turns a whole batch of
+repetitions' counts into estimates with a few array operations.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from . import ising
-
-# Bisection on the calibration curve stops once its bracket on g is this narrow.
-_BISECTION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -93,47 +90,42 @@ def magnetization_flatness(g: float, n_list: Sequence[int]) -> float:
     return (max(flat) - mid) / mid
 
 
-def invert_expected_b(b_value: float, n_spins: int,
-                      window: tuple[float, float] = (0.5, 1.5)) -> tuple[float, bool]:
-    """Solve <B>(g, N) = b_value for g on the window by bisection.
+def invert_expected_b(b_values, n_spins: int,
+                      window: tuple[float, float] = (0.5, 1.5)) -> tuple[np.ndarray, np.ndarray]:
+    """Solve <B>(g, N) = b for g on the window, elementwise, in closed form.
 
-    The curve is strictly decreasing in g, so the root is unique; values
-    outside the attainable range are clamped to the nearer window edge.
-    Returns (g, clamped).
+    With y = 2b - 1 = (cos xi - g)/r and r^2 = (g - cos xi)^2 + sin^2 xi at
+    xi = 2 pi/N, g = cos xi - y sin xi / sqrt((1 - y)(1 + y)).  The curve is
+    strictly decreasing in g, so the root is unique; values outside the
+    attainable range are clamped to the nearer window edge and flagged.
+    Returns (g, clamped) arrays of the shape of ``b_values``.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError("empty search window")
-    if b_value >= ising.expected_b(lo, n_spins):
-        return lo, b_value > ising.expected_b(lo, n_spins)
-    if b_value <= ising.expected_b(hi, n_spins):
-        return hi, b_value < ising.expected_b(hi, n_spins)
-    a, b = lo, hi
-    while b - a > _BISECTION_TOL:
-        mid = 0.5 * (a + b)
-        if ising.expected_b(mid, n_spins) > b_value:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), False
+    b = np.asarray(b_values, dtype=float)
+    b_lo, b_hi = ising.expected_b(lo, n_spins), ising.expected_b(hi, n_spins)
+    xi = ising.mode_xi(n_spins, 1)
+    y = 2.0 * b - 1.0
+    with np.errstate(divide="ignore"):  # y = +-1 only reaches the clamped branches
+        g = math.cos(xi) - y * math.sin(xi) / np.sqrt((1.0 - y) * (1.0 + y))
+    g_hat = np.where(b >= b_lo, lo, np.where(b <= b_hi, hi, np.clip(g, lo, hi)))
+    return g_hat, np.where(b >= b_lo, b > b_lo, b < b_hi)
 
 
-def _b_hat(count: int, shots: int) -> float:
-    """(1 - mean)/2 for ``count`` +1 outcomes among ``shots`` +-1 samples; the +-1 sum
-    2 count - shots is an exact integer, so these are the bits of the shot mean's."""
-    return 0.5 * (1.0 - float(2 * count - shots) / shots)
+def _b_hat(counts, shots: int) -> np.ndarray:
+    """(1 - mean)/2 for ``counts`` +1 outcomes among ``shots`` +-1 samples; for
+    shots <= 2**53 the +-1 sum 2 count - shots is exact, so this is the shot mean's."""
+    return 0.5 * (1.0 - (2 * np.asarray(counts, dtype=np.int64) - shots) / shots)
 
 
 def estimate_counts(counts: Sequence[int] | np.ndarray, shots: int, n_spins: int,
                     window: tuple[float, float] = (0.5, 1.5)) -> tuple[np.ndarray, np.ndarray]:
-    """``estimate_g``'s (g_hat, clamped) per repetition from its count of +1 outcomes,
-    inverting the calibration curve once per distinct count."""
-    counts = np.asarray(counts, dtype=np.int64).tolist()
-    if shots < 1 or not all(0 <= k <= shots for k in counts):
+    """``estimate_g``'s (g_hat, clamped) per repetition from its count of +1 outcomes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if shots < 1 or not np.all((counts >= 0) & (counts <= shots)):
         raise ValueError(f"counts must lie in [0, shots] with shots >= 1, got shots={shots}")
-    inverted = {k: invert_expected_b(_b_hat(k, shots), n_spins, window) for k in set(counts)}
-    return (np.array([inverted[k][0] for k in counts], dtype=float),
-            np.array([inverted[k][1] for k in counts], dtype=bool))
+    return invert_expected_b(_b_hat(counts, shots), n_spins, window)
 
 
 def estimate_g(samples: Sequence[int] | np.ndarray, n_spins: int,
@@ -149,9 +141,9 @@ def estimate_g(samples: Sequence[int] | np.ndarray, n_spins: int,
         raise ValueError("need at least one sample")
     if not np.all(np.abs(samples) == 1):
         raise ValueError("samples must be +-1 valued")
-    b_hat = _b_hat(int(np.count_nonzero(samples == 1)), int(samples.size))
+    b_hat = _b_hat(np.count_nonzero(samples == 1), samples.size)
     g_hat, clamped = invert_expected_b(b_hat, n_spins, window)
-    return GEstimate(g_hat=g_hat, clamped=clamped)
+    return GEstimate(g_hat=float(g_hat), clamped=bool(clamped))
 
 
 def cramer_rao(qfi: float, shots: int = 1) -> float:

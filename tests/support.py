@@ -7,10 +7,12 @@ angle and quasiparticle energy, and ``mode_data`` bundles them;
 ``tau`` is one step's interaction time, written apart from
 ``TrotterSchedule.taus`` so the oracles check that formula rather than share
 it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
-compressed protocol is compared with.  ``hamiltonian_from_strings`` and
-``trotter_evolve_stepwise`` are the dense oracle's plain forms (one bond
-string and one step at a time) that ``dense.build_hamiltonian`` and
-``dense.trotter_evolve`` must equal bit for bit.  ``exp_generator``,
+compressed protocol is compared with, and ``bisect_expected_b`` the bisection
+of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
+``hamiltonian_from_strings`` and ``trotter_evolve_stepwise`` are the dense
+oracle's plain forms (one bond string and one step at a time) that
+``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must equal bit for
+bit.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
 matchgate engine's generator exponential and vacuum algebra;
 ``majorana_two_point`` is the complex two-point matrix Gamma, and
@@ -148,6 +150,33 @@ def sequential_reference(total_time: float, shots: int = 1) -> dict[str, float]:
         "nu_t_inverse_squared": 1.0 / (shots * total_time) ** 2,
         "per_shot_t_squared": 1.0 / (shots * total_time**2),
     }
+
+
+BISECTION_TOL = 1e-12
+
+
+def bisect_expected_b(b_value: float, n_spins: int,
+                      window: tuple[float, float] = (0.5, 1.5)) -> tuple[float, bool]:
+    """Solve <B>(g, N) = b_value for g on the window by bisection to ``BISECTION_TOL``.
+
+    A value outside the curve's range on the window is clamped to the nearer
+    edge and flagged.  Returns (g, clamped).
+    """
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError("empty search window")
+    if b_value >= ising.expected_b(lo, n_spins):
+        return lo, b_value > ising.expected_b(lo, n_spins)
+    if b_value <= ising.expected_b(hi, n_spins):
+        return hi, b_value < ising.expected_b(hi, n_spins)
+    a, b = lo, hi
+    while b - a > BISECTION_TOL:
+        mid = 0.5 * (a + b)
+        if ising.expected_b(mid, n_spins) > b_value:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b), False
 
 
 def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.linalg import expm
 
 from compressed_metrology import adiabatic, circuit, ising, matchgate
@@ -270,6 +271,23 @@ class TestCompiledRunner:
             circuit._compiled_step.cache_clear()
 
 
+def binomial_fit_p_value(counts: np.ndarray, shots: int, p_plus: float) -> float:
+    """Chi-square p-value of ``counts`` against Binomial(shots, p_plus), over bins of
+    consecutive counts merged until each expects at least 5 repetitions."""
+    expected = counts.size * stats.binom.pmf(np.arange(shots + 1), shots, p_plus)
+    observed = np.bincount(counts, minlength=shots + 1)
+    edges, total = [0], 0.0
+    for k, e in enumerate(expected):
+        total += e
+        if total >= 5.0:
+            edges.append(k + 1)
+            total = 0.0
+    edges[-1] = shots + 1  # a short tail joins the last full bin
+    obs = np.add.reduceat(observed, edges[:-1])
+    exp = np.add.reduceat(expected, edges[:-1])
+    return float(stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue)
+
+
 class TestMeasurement:
     def test_probe_eigenstate(self):
         assert measure_ym(initial_state(2)) == pytest.approx(1.0, abs=1e-12)
@@ -299,22 +317,35 @@ class TestMeasurement:
         assert np.array_equal(first, second)
         assert not np.array_equal(first, sample_ym(y, shots=1000, seed=43))
 
-    def test_counts_match_samples(self):
-        y = measure_ym(run_circuit(IsingParams(4, 1.0, 1.0), TrotterSchedule(4.0, 16)))
-        seeds = np.random.default_rng(5).integers(0, 2**63, size=20)
-        for shots in (1, 7, 1000):
-            counts = circuit.count_ym(y, shots, seeds)
-            assert counts.dtype == np.int64
-            assert counts.tolist() == [int((sample_ym(y, shots, int(s)) == 1).sum())
-                                       for s in seeds]
-        assert circuit.count_ym(1.0, 500, [11, 12]).tolist() == [500, 500]
+    def test_counts_follow_the_binomial_law(self):
+        """Chi-square fits of ``count_ym``'s counts, and of the +1 counts of ``sample_ym``'s
+        shots in groups of ``shots``, to the Binomial(shots, p_plus) pmf."""
+        shots, reps, floor = 100, 20_000, 1e-3
+        p_values = {}
+        for i, p_plus in enumerate((0.15, 0.5, 0.85)):
+            y = 2.0 * p_plus - 1.0
+            counts = circuit.count_ym(y, shots, reps, seed=1500 + i)
+            assert counts.dtype == np.int64 and counts.shape == (reps,)
+            grouped = (sample_ym(y, shots * reps, seed=2500 + i).reshape(reps, shots) == 1).sum(1)
+            for label, observed in (("count_ym", counts), ("sample_ym", grouped)):
+                p_values[label, p_plus] = binomial_fit_p_value(observed, shots, p_plus)
+        assert min(p_values.values()) >= floor, p_values
+
+    def test_counts_are_deterministic(self):
+        first = circuit.count_ym(0.3, 1000, 50, seed=42)
+        assert np.array_equal(first, circuit.count_ym(0.3, 1000, 50, seed=42))
+        assert not np.array_equal(first, circuit.count_ym(0.3, 1000, 50, seed=43))
+
+    def test_count_edge_cases(self):
+        assert circuit.count_ym(1.0, 500, 2, seed=11).tolist() == [500, 500]
+        assert circuit.count_ym(-1.0, 500, 2, seed=11).tolist() == [0, 0]
         with pytest.raises(ValueError):
-            circuit.count_ym(y, 0, seeds)
+            circuit.count_ym(0.3, 0, 2, seed=11)
 
     def test_out_of_range_y_is_clamped(self):
         # Roundoff can put <Y> a few ulps past +-1.
-        assert circuit.count_ym(1.0 + 1e-15, 100, [3]).tolist() == [100]
-        assert circuit.count_ym(-1.0 - 1e-15, 100, [3]).tolist() == [0]
+        assert circuit.count_ym(1.0 + 1e-15, 100, 1, seed=3).tolist() == [100]
+        assert circuit.count_ym(-1.0 - 1e-15, 100, 1, seed=3).tolist() == [0]
 
     def test_sampling_concentration(self):
         shots = 100_000

@@ -483,6 +483,8 @@ class TestEstimate:
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "--seed must be nonnegative, got -1"),
         ("--shots", "0", "--shots must be at least 1"),
+        ("--shots", str(2**53 + 1), f"--shots must be at most 2**53, got {2**53 + 1}"),
+        ("--shots", str(10**20), f"--shots must be at most 2**53, got {10**20}"),
         ("--reps", "0", "--reps must be at least 1"),
         ("--window", "1.5,0.5", "--window must be lo,hi with lo < hi"),
     ])
@@ -503,6 +505,26 @@ class TestEstimate:
         monkeypatch.setattr(circuit, "measure_ym", not_reached)
         code, data = run(tmp_path, *self.ARGS)
         assert code == 0 and data == (GOLDEN / "estimate.json").read_bytes()
+
+    def test_largest_shot_count_runs(self, tmp_path):
+        # At 2**53 shots the shot noise is far below the Trotter bias, so the
+        # MSE check fails, but every count is inverted.
+        code, data = run(tmp_path, "estimate", "--n", "4", "--g", "1.0", "--l-steps", "2048",
+                         "--shots", str(2**53), "--reps", "5", "--seed", "1")
+        payload = json.loads(data)
+        assert code == 1 and payload["shots"] == 2**53 and payload["clamped_reps"] == 0
+        assert payload["failures"] == [f"empirical MSE is {payload['mse_over_prediction']:.2f}x "
+                                       f"the prediction"]
+
+    def test_draws_no_per_shot_samples(self, tmp_path, monkeypatch):
+        """At 10^4 shots x 4000 reps, each repetition's count is one binomial variate."""
+        def not_reached(*args):
+            raise AssertionError("estimate drew per-shot samples")
+
+        monkeypatch.setattr(circuit, "sample_ym", not_reached)
+        code, _ = run(tmp_path, "estimate", "--n", "4", "--g", "1.0", "--t-total", "160",
+                      "--l-steps", "2048", "--shots", "10000", "--reps", "4000", "--seed", "1")
+        assert code == 0
 
     def test_infinite_proxy_is_one_error_line_without_a_budget_warning(self, tmp_path, capsys):
         out = tmp_path / "new.json"

@@ -1,14 +1,12 @@
 """Error propagation, scaling fits, calibration-curve estimation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from compressed_metrology import adiabatic, circuit, dense, ising
-from compressed_metrology.adiabatic import TrotterSchedule
+from compressed_metrology import dense, ising
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.metrology import (
     cramer_rao,
@@ -20,7 +18,7 @@ from compressed_metrology.metrology import (
     precision_b,
     precision_m,
 )
-from support import sequential_reference
+from support import bisect_expected_b, sequential_reference
 
 
 class TestErrorPropagation:
@@ -125,6 +123,23 @@ class TestEstimateG:
         assert not clamped
         assert g_hat == pytest.approx(g_star, abs=1e-10)
 
+    @pytest.mark.parametrize("n_spins", [4, 256])
+    def test_window_edges(self, n_spins):
+        # <B> at an edge maps to that edge unflagged and one ulp beyond it is
+        # clamped; one ulp inside, the closed form's roundoff can land past the
+        # edge, and the estimate stays on the window.
+        for lo in np.linspace(0.6, 1.4, 9):
+            lo, hi = window = (float(lo), float(lo) + 0.1)
+            for edge, outward, inward in ((lo, 1.0, 0.0), (hi, 0.0, 1.0)):
+                b_edge = ising.expected_b(edge, n_spins)
+                for b in (b_edge, np.nextafter(b_edge, outward)):
+                    g_hat, clamped = invert_expected_b(b, n_spins, window)
+                    assert (g_hat, clamped) == bisect_expected_b(b, n_spins, window)
+                    assert g_hat == edge and clamped == (b != b_edge)
+                g_hat, clamped = invert_expected_b(np.nextafter(b_edge, inward), n_spins, window)
+                assert lo <= g_hat <= hi and not clamped
+                assert g_hat == pytest.approx(edge, abs=1e-12)
+
     def test_estimate_from_samples(self):
         # mean -1/2 -> b_hat = 3/4, realizable with +-1 shots
         samples = np.array([1, -1, -1, -1])
@@ -181,25 +196,37 @@ class TestEstimateG:
         assert 1.7 < ratio < 2.3
 
 
-class TestEstimateCounts:
-    """The batched count path against one ``estimate_g(sample_ym(...))`` per repetition."""
+SIZES = (4, 8, 16, 256, 2**20)
+SHOTS = (1, 7, 2000)
+# The default window, and a narrow one off its center; at N = 2^20 the second
+# lies in the curve's flat tail, so every count there is clamped.
+WINDOWS = ((0.5, 1.5), (1.05, 1.1))
 
-    @given(g=st.floats(0.3, 2.0), shots=st.integers(1, 2000),
-           seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50),
-           center=st.floats(0.5, 1.5), half_width=st.sampled_from([1e-3, 0.02, 0.1, 0.5]))
-    @settings(max_examples=40, deadline=None)
-    def test_equals_per_rep_estimate(self, g, shots, seeds, center, half_width):
-        # Narrow windows around a center away from g clamp most repetitions.
-        n_spins = 4
-        y = 1.0 - 2.0 * adiabatic.momentum_b(IsingParams(n_spins, field_b=g, coupling_j=1.0),
-                                             TrotterSchedule(total_time=10.0, steps=32))
-        window = (center - half_width, center + half_width)
-        g_hat, clamped = estimate_counts(circuit.count_ym(y, shots, seeds), shots, n_spins,
-                                         window=window)
-        expected = [estimate_g(circuit.sample_ym(y, shots, s), n_spins, window=window)
-                    for s in seeds]
-        assert g_hat.tolist() == [est.g_hat for est in expected]
-        assert clamped.tolist() == [est.clamped for est in expected]
+
+def shot_mean_b_hat(count: int, shots: int) -> float:
+    return 0.5 * (1.0 - float(2 * count - shots) / shots)
+
+
+class TestEstimateCounts:
+    """The closed-form inversion of every count against the bisection oracle."""
+
+    @pytest.mark.parametrize("n_spins", SIZES)
+    @pytest.mark.parametrize("shots", SHOTS)
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_closed_form_matches_bisection(self, n_spins, shots, window):
+        g_hat, clamped = estimate_counts(np.arange(shots + 1), shots, n_spins, window=window)
+        oracle = [bisect_expected_b(shot_mean_b_hat(k, shots), n_spins, window)
+                  for k in range(shots + 1)]
+        assert np.max(np.abs(g_hat - [g for g, _ in oracle])) <= 1e-12
+        assert clamped.tolist() == [flag for _, flag in oracle]
+
+    def test_equals_per_count_estimate(self):
+        for n_spins, shots, window in itertools.product(SIZES, SHOTS, WINDOWS):
+            g_hat, clamped = estimate_counts(np.arange(shots + 1), shots, n_spins, window=window)
+            expected = [estimate_g(np.repeat([1, -1], [k, shots - k]), n_spins, window=window)
+                        for k in range(shots + 1)]
+            assert g_hat.tolist() == [est.g_hat for est in expected]
+            assert clamped.tolist() == [est.clamped for est in expected]
 
     def test_float_samples_give_the_same_estimate(self):
         ints = np.array([1, -1, 1, 1, -1, 1, 1])
