@@ -33,6 +33,8 @@ SLOPE_WINDOW_B = (-2.1, -1.9)
 SLOPE_WINDOW_M = (-1.35, -1.0)
 FLATNESS_WINDOW_M = 0.10
 SCHEMA_VERSION = 1
+# Most repetitions of one estimate; its per-repetition arrays peak near 51 bytes each.
+MAX_REPS = 10**7
 # Every option, by config key: element type, whether its flag takes a comma
 # list, and help.  The flag is the key with "-" for "_".
 _OPTIONS = {
@@ -42,7 +44,7 @@ _OPTIONS = {
     "b": (float, False, "field B (with --j, overrides --g)"),
     "j": (float, False, "coupling J"),
     "shots": (int, False, "shots per repetition"),
-    "reps": (int, False, "Monte Carlo repetitions"),
+    "reps": (int, False, "Monte Carlo repetitions, at most 10^7"),
     "seed": (int, False, "RNG seed (mandatory)"),
     "window": (float, True, "calibration search window lo,hi"),
     "t_total": (float, False, "adiabatic duration T (default 10 N^2)"),
@@ -98,10 +100,10 @@ def _list_of(kind: type):
 def _resolve(args: argparse.Namespace) -> dict:
     """flags > config file > defaults; rejects unknown keys, wrong types, nan/inf, empty --g.
 
-    It also rejects a --seed, --shots or --reps below its bound, and --shots
-    above 2**53, whichever command reads it.  The defaults are the command's
-    in ``_COMMANDS``; a config value of null stands for the default only where
-    the default is null.
+    It also rejects a --seed, --shots or --reps below its bound, --shots
+    above 2**53 and --reps above MAX_REPS, whichever command reads it.  The
+    defaults are the command's in ``_COMMANDS``; a config value of null
+    stands for the default only where the default is null.
     """
     defaults = _COMMANDS[args.command][2]
     file_cfg = {}
@@ -147,6 +149,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     # Up to 2**53 shots a +1 count and the +-1 sum 2 k - shots are exact floats.
     if resolved.get("shots") is not None and resolved["shots"] > 2**53:
         _usage_error(f"--shots must be at most 2**53, got {resolved['shots']}")
+    if resolved.get("reps") is not None and resolved["reps"] > MAX_REPS:
+        _usage_error(f"--reps must be at most 10**7, got {resolved['reps']}")
     return resolved
 
 

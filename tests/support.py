@@ -9,10 +9,13 @@ angle and quasiparticle energy, and ``mode_data`` bundles them;
 it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
 compressed protocol is compared with, and ``bisect_expected_b`` the bisection
 of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
-``hamiltonian_from_strings`` and ``trotter_evolve_stepwise`` are the dense
-oracle's plain forms (one bond string and one step at a time) that
-``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must equal bit for
-bit.  ``exp_generator``,
+``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise`` are the
+dense oracle's plain forms (one bond string and one even-sector step at a
+time) that ``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must
+equal bit for bit; ``trotter_evolve_stepwise`` is the product in the full
+2^N space, the independent oracle ``dense.trotter_evolve`` must match to
+float accuracy, and ``majoranas_kron`` builds the Majoranas as Kronecker
+products of Paulis, the oracle of ``dense.majoranas``.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
 matchgate engine's generator exponential and vacuum algebra;
 ``majorana_two_point`` is the complex two-point matrix Gamma, and
@@ -213,6 +216,30 @@ def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> n
         phases = np.exp(1j * params.coupling_j * tau(schedule, l) / 2.0 * w1)
         state = v1 @ (phases * (v1.conj().T @ state))
     return state
+
+
+def trotter_evolve_sector_stepwise(params: IsingParams,
+                                   schedule: TrotterSchedule) -> np.ndarray:
+    """``dense.trotter_evolve``'s even-sector product, each step's phases exponentiated alone."""
+    n = params.n_spins
+    w1, v1 = dense.sector_eigh(IsingParams(n, field_b=0.0, coupling_j=-1.0), +1)
+    u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * dense.popcounts(n)))
+    k0 = v1.conj().T @ (u0[:, None] * v1)
+    state = v1[0].conj()
+    for l in range(schedule.steps + 1):
+        phases = np.exp(1j * params.coupling_j * tau(schedule, l) / 2.0 * w1)
+        state = phases * (k0 @ state)
+    return v1 @ state
+
+
+def majoranas_kron(n_spins: int) -> list[np.ndarray]:
+    """x_{2j} = Z..Z X_j and x_{2j+1} = Z..Z Y_j as Kronecker products of 2x2 Paulis."""
+    out = []
+    for j in range(n_spins):
+        string = {k: "Z" for k in range(j)}
+        out.append(dense.pauli_string(n_spins, string | {j: "X"}))
+        out.append(dense.pauli_string(n_spins, string | {j: "Y"}))
+    return out
 
 
 def vacuum_covariance(n_modes: int) -> np.ndarray:

@@ -486,6 +486,8 @@ class TestEstimate:
         ("--shots", str(2**53 + 1), f"--shots must be at most 2**53, got {2**53 + 1}"),
         ("--shots", str(10**20), f"--shots must be at most 2**53, got {10**20}"),
         ("--reps", "0", "--reps must be at least 1"),
+        ("--reps", str(10**7 + 1), f"--reps must be at most 10**7, got {10**7 + 1}"),
+        ("--reps", str(10**12), f"--reps must be at most 10**7, got {10**12}"),
         ("--window", "1.5,0.5", "--window must be lo,hi with lo < hi"),
     ])
     def test_invalid_input_is_usage_error(self, monkeypatch, capsys, flag, value, message):
@@ -494,7 +496,12 @@ class TestEstimate:
 
         monkeypatch.setattr(circuit, "run_circuit", not_reached)
         monkeypatch.setattr(adiabatic, "momentum_b", not_reached)
+        monkeypatch.setattr(circuit, "count_ym", not_reached)
         assert_usage_error(capsys, [*self.ARGS, flag, value], message)
+
+    def test_largest_rep_count_is_accepted(self):
+        args = cli._build_parser().parse_args([*self.ARGS[:-4], "--reps", str(10**7), "--seed", "7"])
+        assert cli._resolve(args)["reps"] == cli.MAX_REPS == 10**7
 
     def test_runs_no_gate_circuit(self, tmp_path, monkeypatch):
         """<B> comes from the k = 1 kernel alone; the gate runner is a cross-check leg."""

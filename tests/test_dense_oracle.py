@@ -6,7 +6,8 @@ import pytest
 from compressed_metrology import adiabatic, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
-from support import hamiltonian_from_strings, mode_energy, trotter_evolve_stepwise
+from support import (hamiltonian_from_strings, majoranas_kron, mode_energy,
+                     trotter_evolve_sector_stepwise, trotter_evolve_stepwise)
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -112,6 +113,20 @@ class TestGroundStateEven:
 
 
 class TestObservables:
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4, 8])
+    def test_majoranas_equal_kron_products(self, n_spins):
+        # Equal values; the Kronecker products also carry -0.0 entries.
+        xs, reference = dense.majoranas(n_spins), majoranas_kron(n_spins)
+        assert len(xs) == len(reference) == 2 * n_spins
+        for x, ref in zip(xs, reference):
+            assert x.dtype == ref.dtype and np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    def test_mode_occupation_equals_kron_build(self, n_spins, monkeypatch):
+        actual = dense.observable_b_dense(n_spins)
+        monkeypatch.setattr(dense, "majoranas", majoranas_kron)
+        assert_same_bits(actual, dense.observable_b_dense(n_spins))
+
     def test_mode_occupation_is_projector(self):
         op = dense.observable_b_dense(4)
         evals = np.linalg.eigvalsh(op)
@@ -172,11 +187,13 @@ class TestTrotterEvolve:
         assert np.abs(state - expected).max() < 1e-12
 
     def test_parity_preserved(self):
-        state = dense.trotter_evolve(
-            IsingParams(4, field_b=1.0, coupling_j=1.0), TrotterSchedule(8.0, 64)
-        )
-        parity = np.diag(dense.parity_diag(4)).astype(complex)
-        assert dense.expectation(state, parity) == pytest.approx(1.0, abs=1e-12)
+        for n_spins in (2, 4, 8):
+            state = dense.trotter_evolve(
+                IsingParams(n_spins, field_b=1.0, coupling_j=1.0), TrotterSchedule(8.0, 64)
+            )
+            odd = dense.parity_diag(n_spins) < 0
+            assert np.all(state[odd] == 0.0)
+            assert np.linalg.norm(state[~odd]) == pytest.approx(1.0, abs=1e-12)
 
     def test_desk_scale_overlap(self):
         # Frozen convergence level of the first-order product at T=160, L=1024;
@@ -192,17 +209,19 @@ class TestTrotterEvolve:
     def test_matches_compressed_matrix_path(self, rng):
         # The convention-pinning identity: dense <B> after the Trotter product
         # equals the quadratic expectation through R at any L.
-        obs = matchgate.observable_b_coefficients(4)
-        b_op = dense.observable_b_dense(4)
-        for steps in (1, 5, 17):
-            params = IsingParams(
-                4, field_b=float(rng.uniform(0.3, 1.6)), coupling_j=float(rng.uniform(0.4, 1.4))
-            )
-            sch = TrotterSchedule(total_time=float(rng.uniform(0.5, 5.0)), steps=steps)
-            state = dense.trotter_evolve(params, sch)
-            rot = adiabatic.adiabatic_rotation(params, sch)
-            dense_val = dense.expectation(state, b_op)
-            assert abs(dense_val - matchgate.expectation_quadratic(rot, obs)) < 1e-9
+        for n_spins in (4, 8):
+            obs = matchgate.observable_b_coefficients(n_spins)
+            b_op = dense.observable_b_dense(n_spins)
+            for steps in (1, 5, 17):
+                params = IsingParams(
+                    n_spins, field_b=float(rng.uniform(0.3, 1.6)),
+                    coupling_j=float(rng.uniform(0.4, 1.4))
+                )
+                sch = TrotterSchedule(total_time=float(rng.uniform(0.5, 5.0)), steps=steps)
+                state = dense.trotter_evolve(params, sch)
+                rot = adiabatic.adiabatic_rotation(params, sch)
+                dense_val = dense.expectation(state, b_op)
+                assert abs(dense_val - matchgate.expectation_quadratic(rot, obs)) < 1e-9
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -211,13 +230,27 @@ class TestTrotterEvolve:
     @pytest.mark.parametrize("n_spins", [2, 4, 8])
     @pytest.mark.parametrize("steps", [0, 1, 17, 1024])
     def test_equals_stepwise_loop(self, n_spins, steps):
-        # Chunked step phases and one hoisted conjugate transpose change no bit.
+        # Chunked step phases change no bit of the even-sector product.
+        params, sch = self._random_case(n_spins, steps)
+        assert_same_bits(dense.trotter_evolve(params, sch),
+                         trotter_evolve_sector_stepwise(params, sch))
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    @pytest.mark.parametrize("steps", [0, 1, 17, 1024])
+    def test_matches_full_space_product(self, n_spins, steps):
+        # The independent oracle: both layers applied to the whole 2^N vector.
+        params, sch = self._random_case(n_spins, steps)
+        state = dense.trotter_evolve(params, sch)
+        assert np.abs(state - trotter_evolve_stepwise(params, sch)).max() < 1e-11
+
+    @staticmethod
+    def _random_case(n_spins, steps):
         rng = np.random.default_rng(100 * n_spins + steps)
         coupling_j = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
         params = IsingParams(n_spins, field_b=float(rng.uniform(-2.0, 2.0)), coupling_j=coupling_j)
         sch = TrotterSchedule(total_time=float(rng.uniform(1.0, 200.0)), steps=steps)
         assert params.coupling_j != 1.0
-        assert_same_bits(dense.trotter_evolve(params, sch), trotter_evolve_stepwise(params, sch))
+        return params, sch
 
 
 class TestQFI:
