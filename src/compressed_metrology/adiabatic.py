@@ -183,14 +183,6 @@ def _momentum_products(
     return acc_a, acc_b
 
 
-def _half_spectrum_products(
-    params: IsingParams, schedule: TrotterSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """(a, b) of the per-momentum products at q_k = 2 pi k / N, k = 0..N/2."""
-    n = params.n_spins
-    return _momentum_products(params, schedule, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
-
-
 def momentum_b(params: IsingParams, schedule: TrotterSchedule) -> float:
     """<B> of the protocol from the one SU(2) product U at q = 2 pi / N, in O(L) at any N.
 
@@ -211,7 +203,8 @@ def adiabatic_rotation(params: IsingParams, schedule: TrotterSchedule) -> np.nda
     2N x 2N rotation.
     """
     n = params.n_spins
-    acc_a, acc_b = _half_spectrum_products(params, schedule)
+    # (a, b) of the per-momentum products at q_k = 2 pi k / N, k = 0..N/2
+    acc_a, acc_b = _momentum_products(params, schedule, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
     half = acc_a.size
     blocks = np.empty((n, 2, 2), dtype=complex)
     blocks[:half, 0, 0] = acc_a

@@ -502,16 +502,15 @@ def cmd_oracle(cfg: dict) -> dict:
         parity = np.diag(dense.parity_diag(n)).astype(complex)
         for g in sorted(cfg["g"]):
             params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
-            try:  # the even-sector ground state, or its QFI, is not well defined here
-                state = dense.ground_state_even(params)
-                qfi = dense.qfi_pure(params)
+            try:  # the even-sector ground state is not well defined here
+                energy, state, qfi = dense.even_ground(params)
             except RuntimeError as exc:
                 _usage_error(f"oracle at N={n}, g={g}: {exc}")
             trotter = dense.trotter_evolve(params, schedule)
             rows.append({
                 "n": n,
                 "g": g,
-                "ground_energy_even": dense.ground_energy(params, +1),
+                "ground_energy_even": energy,
                 "expected_b": dense.expectation(state, b_op),
                 "expected_m": dense.expectation(state, m_op),
                 "variance_b": dense.variance(state, b_op),

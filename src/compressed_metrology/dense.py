@@ -25,8 +25,6 @@ _MAX_OPERATOR_SPINS = 12
 _MAX_EVOLVE_SPINS = 10
 # Step phases exponentiated at once in trotter_evolve: 256 kB of complex entries.
 _PHASE_CHUNK_ENTRIES = 1 << 14
-# Central-difference step in g of qfi_pure, checked against its half.
-_QFI_STEP = 1e-4
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -140,12 +138,16 @@ def sector_eigh(params: IsingParams, parity: int) -> tuple[np.ndarray, np.ndarra
     return evals, vecs
 
 
-def ground_state_even(params: IsingParams) -> np.ndarray:
-    """Lowest eigenvector of H in the even-parity sector.
+def even_ground(params: IsingParams) -> tuple[float, np.ndarray, float]:
+    """(energy, state, QFI w.r.t. g) of the lowest even-parity level, from one solve.
 
     This is the branch the adiabatic evolution from |0..0> tracks; for g < 1
     it is *not* the global ground state (that one is odd).  Phase convention:
-    the largest-magnitude amplitude is made real positive.
+    the largest-magnitude amplitude of the state is made real positive.  The
+    QFI is the exact sum over the even-sector spectrum,
+    F = 4 sum_{n>0} |<n| dH/dg |0>|^2 / (E_n - E_0)^2, with dH/dg = -J sum_j Z_j
+    diagonal at fixed J; each eigenvalue is halved before the gap is taken,
+    so no gap overflows at the largest fields the Hamiltonian holds.
     """
     evals, vecs = sector_eigh(params, +1)
     if evals.size > 1 and evals[1] - evals[0] < 1e-10:
@@ -155,11 +157,22 @@ def ground_state_even(params: IsingParams) -> np.ndarray:
     state = vecs[:, 0]
     pivot = int(np.argmax(np.abs(state)))
     state = state * (np.abs(state[pivot]) / state[pivot])
-    return state / np.linalg.norm(state)
+    state = state / np.linalg.norm(state)
+    n = params.n_spins
+    dh_dg = -params.coupling_j * (n - 2.0 * popcounts(n))
+    overlaps = vecs[:, 1:].conj().T @ (dh_dg * state)
+    half_gaps = 0.5 * evals[1:] - 0.5 * evals[0]
+    return float(evals[0]), state, float(np.sum((np.abs(overlaps) / half_gaps) ** 2))
 
 
-def ground_energy(params: IsingParams, parity: int = +1) -> float:
-    return float(sector_eigh(params, parity)[0][0])
+def ground_state_even(params: IsingParams) -> np.ndarray:
+    """The state of ``even_ground``."""
+    return even_ground(params)[1]
+
+
+def qfi_pure(params: IsingParams) -> float:
+    """The quantum Fisher information w.r.t. g of ``even_ground``."""
+    return even_ground(params)[2]
 
 
 def observable_b_dense(n_spins: int) -> np.ndarray:
@@ -236,42 +249,3 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
         for phases in np.exp(angles[lo:lo + chunk, None] * w1):
             state = phases * (k0 @ state)
     return v1 @ state
-
-
-def qfi_pure(params: IsingParams) -> float:
-    """Quantum Fisher information of the even-parity ground state w.r.t. g.
-
-    Pure-state formula 4*(<d psi|d psi> - |<psi|d psi>|^2) with |d psi> from
-    central differences of gauge-fixed ground states (each neighbour's phase
-    is fixed so its overlap with psi(g) is real positive; the QFI itself is
-    gauge invariant but naive differencing is not).  A step-halving check
-    guards the step size: the two estimates must agree within 1 percent.
-    """
-    if params.n_spins > _MAX_EVOLVE_SPINS:
-        raise ValueError("QFI oracle capped at N=10")
-
-    center = ground_state_even(params)
-
-    def _estimate(step: float) -> float:
-        sides = []
-        for sign in (-1.0, +1.0):
-            g_side = params.g + sign * step
-            side = ground_state_even(
-                IsingParams(params.n_spins, field_b=g_side * params.coupling_j,
-                            coupling_j=params.coupling_j)
-            )
-            ov = np.vdot(center, side)
-            side = side * (abs(ov) / ov)
-            sides.append(side)
-        dpsi = (sides[1] - sides[0]) / (2.0 * step)
-        # Re/Im split: <psi|dpsi> is purely imaginary after gauge fixing.
-        return float(4.0 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(center, dpsi)) ** 2))
-
-    coarse = _estimate(_QFI_STEP)
-    fine = _estimate(_QFI_STEP / 2.0)
-    if abs(coarse - fine) > 0.01 * max(abs(fine), 1e-30):
-        raise RuntimeError(
-            f"QFI finite-difference step {_QFI_STEP} not converged "
-            f"(coarse {coarse:.6g} vs halved {fine:.6g})"
-        )
-    return fine

@@ -6,7 +6,8 @@ momentum.  The generators and per-step rotations pin the conventions against
 the dense spin-space oracle and the gate program.  ``su2_tree`` and
 ``half_spectrum_products`` are the per-momentum product in its plain,
 allocating form (a new array per operation), which the buffered
-``adiabatic._half_spectrum_products`` must equal bit for bit.
+``adiabatic._momentum_products`` at q = 2 pi k / N, k = 0..N/2, must equal
+bit for bit.
 """
 
 from __future__ import annotations

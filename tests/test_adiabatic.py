@@ -276,9 +276,10 @@ class TestBufferedProduct:
         steps = max(0, chunks * chunk + offset - 1)
         params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
         sch = TrotterSchedule(total_time=20.0, steps=steps)
+        q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
         with mock.patch.object(adiabatic, "_CHUNK_ENTRIES", chunk_entries):
             plain = half_spectrum_products(params, sch)
-            buffered = adiabatic._half_spectrum_products(params, sch)
+            buffered = adiabatic._momentum_products(params, sch, q)
         for got, want in zip(buffered, plain):
             assert got.tobytes() == want.tobytes()
 
@@ -287,7 +288,8 @@ class TestBufferedProduct:
     def test_full_chunks_are_bitwise_plain(self, n_spins, steps):
         params = IsingParams(n_spins, field_b=0.7, coupling_j=1.0)
         sch = TrotterSchedule(total_time=10.0 * n_spins, steps=steps)
-        for got, want in zip(adiabatic._half_spectrum_products(params, sch),
+        q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
+        for got, want in zip(adiabatic._momentum_products(params, sch, q),
                              half_spectrum_products(params, sch)):
             assert got.tobytes() == want.tobytes()
 

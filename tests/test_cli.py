@@ -194,7 +194,7 @@ class TestUsageErrors:
 
         for module, name in ((circuit, "run_circuit"), (circuit, "full_program"),
                              (adiabatic, "adiabatic_rotation"), (adiabatic, "momentum_b"),
-                             (dense, "trotter_evolve"), (dense, "ground_state_even")):
+                             (dense, "trotter_evolve"), (dense, "even_ground")):
             monkeypatch.setattr(module, name, not_reached)
 
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate"])
@@ -624,11 +624,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("g,message", [
         ("0", "oracle at N=4, g=0.0: even-sector ground state degenerate"),
-        # The QFI's central difference steps onto g = 0.
-        ("1e-4", "oracle at N=4, g=0.0001: even-sector ground state degenerate"),
     ])
     def test_degenerate_point_is_usage_error(self, capsys, g, message):
         assert_usage_error(capsys, ["oracle", "--n", "4", "--g", g, "--l-steps", "8"], message)
+
+    def test_point_next_to_degeneracy_runs(self, tmp_path):
+        # the even-sector gap is open at g = 1e-4, and the spectral QFI needs no neighbour in g
+        code, data = run(tmp_path, "oracle", "--n", "4", "--g", "1e-4", "--l-steps", "8")
+        row = json.loads(data)["rows"][0]
+        assert code == 0 and row["qfi"] == pytest.approx(ising.qfi(1e-4, 4), rel=1e-12)
 
     def test_field_term_past_the_float_range(self, tmp_path, capsys):
         # 8 * 4e307 overflows; 4 * 4e307 and 8 * 1e300 do not

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from compressed_metrology import adiabatic, dense, ising, matchgate
+from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from support import (hamiltonian_from_strings, majoranas_kron, mode_energy,
@@ -45,8 +45,8 @@ class TestHamiltonian:
         base = -0.5 * sum(eps)
         even_expected = base + (eps[0] if g < 1 else 0.0)
         odd_expected = base + (eps[0] if g > 1 else 0.0)
-        assert dense.ground_energy(p, +1) == pytest.approx(even_expected, abs=1e-9)
-        assert dense.ground_energy(p, -1) == pytest.approx(odd_expected, abs=1e-9)
+        assert dense.sector_eigh(p, +1)[0][0] == pytest.approx(even_expected, abs=1e-9)
+        assert dense.sector_eigh(p, -1)[0][0] == pytest.approx(odd_expected, abs=1e-9)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -258,7 +258,7 @@ class TestQFI:
                                            (8, 0.5), (8, 1.0), (8, 1.5), (8, 2.0)])
     def test_against_mode_sum(self, n_spins, g):
         p = IsingParams(n_spins, field_b=g, coupling_j=1.0)
-        assert dense.qfi_pure(p) == pytest.approx(ising.qfi(g, n_spins), rel=1e-7)
+        assert dense.qfi_pure(p) == pytest.approx(ising.qfi(g, n_spins), rel=1e-12)
 
     def test_peaks_near_transition(self):
         at_transition = dense.qfi_pure(IsingParams(8, field_b=1.0, coupling_j=1.0))
@@ -282,16 +282,18 @@ class TestQFI:
         dg2 = ising.variance_b(1.0, 4) / ising.expected_b_derivative(1.0, 4) ** 2
         assert dg2 * qfi == pytest.approx(1.0, abs=1e-6)
 
-    def test_center_state_diagonalized_once(self, monkeypatch):
-        # one centre state shared by both step sizes, plus two sides per step
+    def test_one_even_sector_solve_per_oracle_point(self, monkeypatch, tmp_path):
+        # one sector_eigh per (N, g) for the ground branch and its QFI, and
+        # one per trotter_evolve for the bond sum's eigenbasis
         calls = 0
-        ground_state = dense.ground_state_even
+        solve = dense.sector_eigh
 
-        def counting(params):
+        def counting(params, parity):
             nonlocal calls
             calls += 1
-            return ground_state(params)
+            return solve(params, parity)
 
-        monkeypatch.setattr(dense, "ground_state_even", counting)
-        dense.qfi_pure(IsingParams(4, field_b=1.0, coupling_j=1.0))
-        assert calls == 5
+        monkeypatch.setattr(dense, "sector_eigh", counting)
+        assert cli.main(["oracle", "--n", "4,8", "--g", "0.7,1.0", "--l-steps", "64",
+                         "--out", str(tmp_path / "oracle.json")]) == 0
+        assert calls == 8
