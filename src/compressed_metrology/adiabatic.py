@@ -17,7 +17,8 @@ so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
 momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
 multiplies the steps of momenta 0..N/2 in cache-sized chunks and undoes the
 Fourier transform with one inverse FFT over the 2x2 blocks; this is the only
-product path, written through ``out=`` buffers allocated once per call.
+product path, written through ``out=`` buffers allocated once per call, and
+a chunk's steps are stored so that each tree level reads contiguous halves.
 ``momentum_b`` runs the same product at the one momentum 2 pi / N that the
 protocol's <B> lives in.  The test suite keeps the step-by-step product of the
 2N x 2N rotations and the allocating per-momentum product, which this one
@@ -109,13 +110,27 @@ def trotter_error_bound(schedule: TrotterSchedule) -> float:
         return math.inf
 
 
+def _tree_layout(rows: int) -> np.ndarray:
+    """Storage order of a chunk's steps under which each ``_su2_tree`` level reads two halves.
+
+    P(1) = [0]; for rows = 2h + r and sigma = P(h + r)[:h], the order of the
+    level's h pair products, P(rows) = [2 sigma, 2 sigma + 1] (+ [rows - 1] if r).
+    """
+    if rows == 1:
+        return np.zeros(1, dtype=np.intp)
+    half, odd = divmod(rows, 2)
+    sigma = _tree_layout(half + odd)[:half]
+    return np.concatenate([2 * sigma, 2 * sigma + 1, np.arange(rows - odd, rows)])
+
+
 def _su2_tree(
     a: np.ndarray, b: np.ndarray, half_a: np.ndarray, half_b: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ordered product over axis 0 of SU(2) blocks [[a, -conj(b)], [b, conj(a)]].
 
-    Pairwise (tree) reduction: one vectorized pass per level, highest index
-    ending up leftmost.  Odd leftovers are folded in at the end of each level.
+    Pairwise (tree) reduction of steps stored in ``_tree_layout`` order: each
+    level multiplies its odd steps (second half) onto its even ones (first
+    half), the highest step ending up leftmost, and an odd leftover stays last.
     Level 1 writes into ``half_a``/``half_b`` (ceil(rows/2) rows), later levels
     ping-pong between those and the overwritten ``a``/``b``, and ``scratch``
     holds one operand; the ufuncs and operands are those of the plain
@@ -125,8 +140,8 @@ def _su2_tree(
     while src_a.shape[0] > 1:
         rows = src_a.shape[0]
         half = rows // 2
-        a2, a1 = src_a[1:2 * half:2], src_a[0:2 * half:2]
-        b2, b1 = src_b[1:2 * half:2], src_b[0:2 * half:2]
+        a2, a1 = src_a[half:2 * half], src_a[:half]
+        b2, b1 = src_b[half:2 * half], src_b[:half]
         out_a, out_b, tmp = dst_a[:half], dst_b[:half], scratch[:half]
         # A multiply never writes over its own input: numpy takes another
         # (non-FMA) loop for that, which changes the last bit.
@@ -150,7 +165,7 @@ def _momentum_products(
     Momentum q sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
     are streamed in chunks of about _CHUNK_ENTRIES (step, mode) entries, each
     reduced by a pairwise tree and folded into the running product.  The step
-    arrays and the tree's level buffers are allocated once per call.
+    arrays, the tree's level buffers and its layout are made once per call.
     """
     steps = schedule.steps
     beta = 2.0 * params.field_b * schedule.delta
@@ -165,8 +180,12 @@ def _momentum_products(
     step_a, step_b = (np.empty((rows, q.size), dtype=complex) for _ in range(2))
     half_a, half_b, scratch = (np.empty(((rows + 1) // 2, q.size), dtype=complex)
                                for _ in range(3))
+    layout = _tree_layout(rows)
     for start in range(0, steps + 1, chunk):
-        phi = params.coupling_j * schedule.taus(start, min(start + chunk, steps + 1))
+        stop = min(start + chunk, steps + 1)
+        if stop - start < rows:  # the short last chunk
+            layout = _tree_layout(stop - start)
+        phi = params.coupling_j * schedule.taus(start, stop)[layout]
         c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
         # step = G_odd(q, phi) @ G_even(beta) in (a, b) components:
         # a = c cb + (s sb) conj(e^{iq}),  b = (s cb) e^{iq} - c sb

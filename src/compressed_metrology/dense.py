@@ -48,29 +48,6 @@ def pauli_string(n_spins: int, ops: dict[int, str]) -> np.ndarray:
     return out
 
 
-def majoranas(n_spins: int) -> list[np.ndarray]:
-    """The 2N Majorana generators x_0 .. x_{2N-1} as dense matrices.
-
-    Site 0 is the leading bit of a basis index, as in ``pauli_string``.  Both
-    x_{2j} = Z..Z X_j and x_{2j+1} = Z..Z Y_j flip site j's bit; the Z string
-    gives the sign (-1)^(1-bits on sites 0..j-1), and Y_j a further +i on a
-    cleared bit and -i on a set one.
-    """
-    _check_operator_size(n_spins)
-    dim = 1 << n_spins
-    cols = np.arange(dim)
-    counts = popcounts(n_spins)
-    out = []
-    for j in range(n_spins):
-        bit = 1 << (n_spins - 1 - j)
-        string = 1.0 - 2.0 * (counts[cols & (dim - 2 * bit)] % 2)
-        for entries in (string, 1j * string * np.where(cols & bit, -1.0, 1.0)):
-            op = np.zeros((dim, dim), dtype=complex)
-            op[cols ^ bit, cols] = entries
-            out.append(op)
-    return out
-
-
 def popcounts(n_spins: int) -> np.ndarray:
     """Number of 1-bits (fermions / down spins) per computational basis index."""
     idx = np.arange(1 << n_spins, dtype=np.uint64)
@@ -178,19 +155,23 @@ def qfi_pure(params: IsingParams) -> float:
 def observable_b_dense(n_spins: int) -> np.ndarray:
     """Occupation of the first Fourier fermion mode, b_1^dag b_1, as a dense matrix.
 
-    The mode phase is e^{+i 2 pi k / N}, the convention of
-    ``matchgate.observable_b_coefficients``; the opposite sign labels the
-    mirror mode N-1, which has the identical expectation on every
-    reflection-symmetric state considered here (ground branch and the
-    Trotter-evolved vacuum).
+    b_1 = sum_k e^{+i 2 pi k / N} (x_{2k} + i x_{2k+1}) / (2 sqrt(N)), the phase
+    convention of ``matchgate.observable_b_coefficients``; the mirror mode N-1
+    has the same expectation on the reflection-symmetric states used here.
+    Term k flips site k's bit (site 0 leads an index) with the sign
+    (-1)^(1-bits on sites 0..k-1) of the Z string, times +i on a cleared bit
+    and -i on a set one in x_{2k+1} = Z..Z Y_k; it is written into its entries
+    with the operations of the dense Majorana sum, so b_1 has that sum's bits.
     """
     _check_operator_size(n_spins)
-    xs = majoranas(n_spins)
     dim = 1 << n_spins
+    cols, counts = np.arange(dim), popcounts(n_spins)
     b1 = np.zeros((dim, dim), dtype=complex)
     for k in range(n_spins):
-        ck = 0.5 * (xs[2 * k] + 1j * xs[2 * k + 1])
-        b1 += np.exp(2j * np.pi * k / n_spins) * ck
+        bit = 1 << (n_spins - 1 - k)
+        string = 1.0 - 2.0 * (counts[cols & (dim - 2 * bit)] % 2)
+        x_odd = 1j * string * np.where(cols & bit, -1.0, 1.0)
+        b1[cols ^ bit, cols] += np.exp(2j * np.pi * k / n_spins) * (0.5 * (string + 1j * x_odd))
     b1 /= np.sqrt(n_spins)
     return b1.conj().T @ b1
 

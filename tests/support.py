@@ -14,8 +14,10 @@ dense oracle's plain forms (one bond string and one even-sector step at a
 time) that ``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must
 equal bit for bit; ``trotter_evolve_stepwise`` is the product in the full
 2^N space, the independent oracle ``dense.trotter_evolve`` must match to
-float accuracy, and ``majoranas_kron`` builds the Majoranas as Kronecker
-products of Paulis, the oracle of ``dense.majoranas``.  ``exp_generator``,
+float accuracy.  ``majoranas`` gives the dense Majoranas as signed bit
+flips, pinned against ``majoranas_kron``, their Kronecker products of Paulis;
+summed into b_1 in the mode's order, the latter are the oracle of
+``dense.observable_b_dense``.  ``exp_generator``,
 ``vacuum_covariance``, ``conjugate_modes`` and ``expectation_z0`` are the
 matchgate engine's generator exponential and vacuum algebra;
 ``majorana_two_point`` is the complex two-point matrix Gamma, and
@@ -232,6 +234,29 @@ def trotter_evolve_sector_stepwise(params: IsingParams,
     return v1 @ state
 
 
+def majoranas(n_spins: int) -> list[np.ndarray]:
+    """The 2N Majorana generators x_0 .. x_{2N-1} as dense matrices.
+
+    Site 0 is the leading bit of a basis index, as in ``dense.pauli_string``.
+    Both x_{2j} = Z..Z X_j and x_{2j+1} = Z..Z Y_j flip site j's bit; the Z
+    string gives the sign (-1)^(1-bits on sites 0..j-1), and Y_j a further +i
+    on a cleared bit and -i on a set one.
+    """
+    dense._check_operator_size(n_spins)
+    dim = 1 << n_spins
+    cols = np.arange(dim)
+    counts = dense.popcounts(n_spins)
+    out = []
+    for j in range(n_spins):
+        bit = 1 << (n_spins - 1 - j)
+        string = 1.0 - 2.0 * (counts[cols & (dim - 2 * bit)] % 2)
+        for entries in (string, 1j * string * np.where(cols & bit, -1.0, 1.0)):
+            op = np.zeros((dim, dim), dtype=complex)
+            op[cols ^ bit, cols] = entries
+            out.append(op)
+    return out
+
+
 def majoranas_kron(n_spins: int) -> list[np.ndarray]:
     """x_{2j} = Z..Z X_j and x_{2j+1} = Z..Z Y_j as Kronecker products of 2x2 Paulis."""
     out = []
@@ -323,7 +348,7 @@ def matchgate_unitary(n_spins: int, h: np.ndarray) -> np.ndarray:
     """Dense unitary exp(-iH) for the quadratic H = i sum_{j!=k} h_{jk} x_j x_k."""
     from scipy.linalg import expm
 
-    xs = dense.majoranas(n_spins)
+    xs = majoranas(n_spins)
     if h.shape != (2 * n_spins, 2 * n_spins):
         raise ValueError("generator dimension mismatch")
     gen = np.zeros_like(xs[0])
@@ -336,7 +361,7 @@ def matchgate_unitary(n_spins: int, h: np.ndarray) -> np.ndarray:
 
 def conjugation_rotation(n_spins: int, unitary: np.ndarray) -> np.ndarray:
     """Extract R with U^dag x_j U = sum_k R_{jk} x_k by tracing against the x_k."""
-    xs = dense.majoranas(n_spins)
+    xs = majoranas(n_spins)
     dim = 1 << n_spins
     rot = np.empty((2 * n_spins, 2 * n_spins))
     for j in range(2 * n_spins):

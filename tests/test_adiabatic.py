@@ -251,12 +251,33 @@ class TestBufferedProduct:
     @example(rows=1024, modes=2, seed=1)
     @example(rows=1025, modes=2, seed=2)
     def test_tree_is_bitwise_plain(self, rows, modes, seed):
+        # Unit-norm blocks keep every partial product finite, so the bytes
+        # compared are numbers, not overflowed inf or nan.
         gen = np.random.default_rng(seed)
         a, b = gen.normal(size=(2, rows, modes)) + 1j * gen.normal(size=(2, rows, modes))
+        norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+        a, b = a / norm, b / norm
         plain_a, plain_b = su2_tree(a, b)
+        layout = adiabatic._tree_layout(rows)
         buffers = [np.empty(((rows + 1) // 2, modes), dtype=complex) for _ in range(3)]
-        tree_a, tree_b = adiabatic._su2_tree(a.copy(), b.copy(), *buffers)
+        tree_a, tree_b = adiabatic._su2_tree(a[layout], b[layout], *buffers)
+        assert np.isfinite(plain_a).all() and np.isfinite(plain_b).all()
         assert tree_a.tobytes() == plain_a.tobytes() and tree_b.tobytes() == plain_b.tobytes()
+
+    def test_tree_layout_reads_halves(self):
+        for rows in range(1, 4098):
+            layout = adiabatic._tree_layout(rows)
+            assert np.array_equal(np.sort(layout), np.arange(rows))
+            assert layout[-1] == rows - 1
+            # At every level the pair (2i, 2i + 1) of the level's rows sits at
+            # storage (p, p + half); the pair's product is the next level's row
+            # i, stored at p, and the odd leftover stays last.
+            level = layout
+            while level.size > 1:
+                half = level.size // 2
+                assert (level[:half] % 2 == 0).all()
+                assert np.array_equal(level[half:2 * half], level[:half] + 1)
+                level = np.concatenate([level[:half] // 2, level[2 * half:] // 2])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -283,7 +304,7 @@ class TestBufferedProduct:
         for got, want in zip(buffered, plain):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n_spins", [64, 256])
+    @pytest.mark.parametrize("n_spins", [64, 128, 256])
     @pytest.mark.parametrize("steps", [0, 4095, 30000])
     def test_full_chunks_are_bitwise_plain(self, n_spins, steps):
         params = IsingParams(n_spins, field_b=0.7, coupling_j=1.0)

@@ -6,7 +6,7 @@ import pytest
 from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
-from support import (hamiltonian_from_strings, majoranas_kron, mode_energy,
+from support import (hamiltonian_from_strings, majoranas, majoranas_kron, mode_energy,
                      trotter_evolve_sector_stepwise, trotter_evolve_stepwise)
 
 
@@ -116,16 +116,20 @@ class TestObservables:
     @pytest.mark.parametrize("n_spins", [1, 2, 3, 4, 8])
     def test_majoranas_equal_kron_products(self, n_spins):
         # Equal values; the Kronecker products also carry -0.0 entries.
-        xs, reference = dense.majoranas(n_spins), majoranas_kron(n_spins)
+        xs, reference = majoranas(n_spins), majoranas_kron(n_spins)
         assert len(xs) == len(reference) == 2 * n_spins
         for x, ref in zip(xs, reference):
             assert x.dtype == ref.dtype and np.array_equal(x, ref)
 
     @pytest.mark.parametrize("n_spins", [2, 4, 8])
-    def test_mode_occupation_equals_kron_build(self, n_spins, monkeypatch):
-        actual = dense.observable_b_dense(n_spins)
-        monkeypatch.setattr(dense, "majoranas", majoranas_kron)
-        assert_same_bits(actual, dense.observable_b_dense(n_spins))
+    def test_mode_occupation_equals_kron_build(self, n_spins):
+        # b_1 summed term by term from the Kronecker-product Majoranas
+        xs = majoranas_kron(n_spins)
+        b1 = np.zeros_like(xs[0])
+        for k in range(n_spins):
+            b1 += np.exp(2j * np.pi * k / n_spins) * (0.5 * (xs[2 * k] + 1j * xs[2 * k + 1]))
+        b1 /= np.sqrt(n_spins)
+        assert_same_bits(dense.observable_b_dense(n_spins), b1.conj().T @ b1)
 
     def test_mode_occupation_is_projector(self):
         op = dense.observable_b_dense(4)

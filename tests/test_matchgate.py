@@ -14,6 +14,7 @@ from support import (
     exp_generator,
     expectation_z0,
     majorana_two_point,
+    majoranas,
     matchgate_unitary,
     vacuum_covariance,
 )
@@ -183,7 +184,7 @@ class TestMajoranaTwoPoint:
         n = 2
         rot, unitary = random_matchgate_product(n, 3, rng)
         gamma = majorana_two_point(rot)
-        xs = dense.majoranas(n)
+        xs = majoranas(n)
         vac = np.zeros(4, dtype=complex)
         vac[0] = 1.0
         evolved = unitary @ vac
@@ -261,7 +262,7 @@ class TestObservableBCoefficients:
     def test_dense_reconstruction(self):
         n = 4
         mode = observable_b_coefficients(n)
-        xs = dense.majoranas(n)
+        xs = majoranas(n)
         b1 = sum(mode[l] * xs[l] for l in range(2 * n))
         assert np.array_equal(b1.conj().T @ b1, dense.observable_b_dense(n))
 
