@@ -28,7 +28,6 @@ equals bit for bit, as oracles.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +68,12 @@ def build_schedule(
     steps: int | None = None,
     *,
     step_cap: int = 10**6,
-    error_budget: float | None = None,
 ) -> TrotterSchedule:
     """Schedule with desk-scale defaults T = 10 N^2 and L = min(N^5, step_cap).
 
     The asymptotically sufficient choice L ~ N^5 is infeasible beyond toy
-    sizes, hence the cap; when ``error_budget`` is given, a warning is raised
-    if the Trotter proxy L Delta^2 exceeds it so the bias is never silent.
-    A proxy that is not finite raises ValueError, before any warning.
+    sizes, hence the cap.  A Trotter proxy L Delta^2 that is not finite
+    raises ValueError.
     """
     if total_time is None:
         total_time = 10.0 * n_spins**2
@@ -86,16 +83,9 @@ def build_schedule(
         raise ValueError(
             f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
     schedule = TrotterSchedule(total_time=float(total_time), steps=int(steps))
-    proxy = trotter_error_bound(schedule)
-    if math.isinf(proxy):
+    if math.isinf(trotter_error_bound(schedule)):
         raise ValueError(f"the Trotter proxy L*Delta^2 is not finite at N={n_spins}, "
                          f"T={schedule.total_time}, L={schedule.steps}")
-    if error_budget is not None and proxy > error_budget:
-        warnings.warn(
-            f"Trotter proxy L*Delta^2 = {proxy:.3g} exceeds "
-            f"the error budget {error_budget:.3g}; increase L or lower T",
-            stacklevel=2,
-        )
     return schedule
 
 

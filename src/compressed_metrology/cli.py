@@ -50,7 +50,6 @@ _OPTIONS = {
     "t_total": (float, False, "adiabatic duration T (default 10 N^2)"),
     "l_steps": (int, False, "Trotter step count L (default min(N^5, 10^6))"),
     "analytic_tol": (float, False, "also check |analytic - matrix| against this tolerance"),
-    "error_budget": (float, False, "warn when the Trotter proxy L*Delta^2 exceeds this"),
     "format": (str, False, "csv or json"),
     "out": (str, False, "output path (default stdout)"),
 }
@@ -215,8 +214,8 @@ def _one(cfg: dict, key: str, command: str):
     return cfg[key][0]
 
 
-def _schedule_from(cfg: dict, n_spins: int, couplings: list[tuple[float, float]],
-                   error_budget: float | None = None) -> adiabatic.TrotterSchedule:
+def _schedule_from(cfg: dict, n_spins: int,
+                   couplings: list[tuple[float, float]]) -> adiabatic.TrotterSchedule:
     """The schedule at N = ``n_spins``; usage error unless its step quantities are finite.
 
     ``couplings`` lists the (B, J) pairs that run on it.  ``build_schedule``
@@ -224,8 +223,7 @@ def _schedule_from(cfg: dict, n_spins: int, couplings: list[tuple[float, float]]
     the largest interaction angle 2|J|Delta go into every step's gates.
     """
     try:
-        schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"],
-                                            error_budget=error_budget)
+        schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"])
     except ValueError as exc:
         _usage_error(str(exc))
     delta = schedule.delta
@@ -436,10 +434,7 @@ def cmd_estimate(cfg: dict) -> dict:
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
     _delta_g_sq(metrology.precision_b, g_star, [n], cfg["shots"])  # finite before the circuit runs
-    # The budget warning's proxy is a very loose scale (orders above the
-    # measured bias); opt-in only, so sane runs are not drowned in warnings.
-    schedule = _schedule_from(cfg, n, [(g_star * cfg["j"], cfg["j"])],
-                              error_budget=cfg["error_budget"])
+    schedule = _schedule_from(cfg, n, [(g_star * cfg["j"], cfg["j"])])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
                             tuple(cfg["window"]), coupling_j=cfg["j"])
     report.update(_schedule_meta(schedule))
@@ -549,8 +544,7 @@ _COMMANDS = {
                  "analytic_tol": None, "out": None}),
     "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",
                  {"n": [16], "g": [1.0], "b": None, "j": 1.0, "shots": 10_000, "reps": 200,
-                  "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "error_budget": None,
-                  "out": None}),
+                  "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "out": None}),
     "dump": (cmd_dump, "write the gate program of R^T(B, J)",
              {"n": [4], "b": 1.0, "j": 1.0, **_SCHEDULE, "out": None}),
     "oracle": (cmd_oracle, "dense reference values (N <= 10)",

@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .adiabatic import TrotterSchedule
@@ -26,26 +24,10 @@ _MAX_EVOLVE_SPINS = 10
 # Step phases exponentiated at once in trotter_evolve: 256 kB of complex entries.
 _PHASE_CHUNK_ENTRIES = 1 << 14
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 def _check_operator_size(n_spins: int) -> None:
     if n_spins > _MAX_OPERATOR_SPINS:
         raise ValueError(f"dense operators capped at N={_MAX_OPERATOR_SPINS}, got {n_spins}")
-
-
-def pauli_string(n_spins: int, ops: dict[int, str]) -> np.ndarray:
-    """Dense operator for a Pauli string, ``ops`` mapping site -> 'X'|'Y'|'Z'."""
-    _check_operator_size(n_spins)
-    out = np.ones((1, 1), dtype=complex)
-    for site in range(n_spins):
-        out = np.kron(out, _PAULI[ops.get(site, "I")])
-    return out
 
 
 def popcounts(n_spins: int) -> np.ndarray:
@@ -63,36 +45,25 @@ def parity_diag(n_spins: int) -> np.ndarray:
     return np.where(popcounts(n_spins) % 2 == 0, 1.0, -1.0)
 
 
-@functools.lru_cache(maxsize=None)
-def _bond_sum(n_spins: int) -> np.ndarray:
-    """sum_j X_j X_{j+1} with the wrapped bond, as a read-only real matrix built once per N.
-
-    Every bond string is real with entries 0 and +-1, so the sum is exact.
-    The operator cap and power-of-two sizes leave at most N = 2, 4 and 8
-    cached (0.5 MB).
-    """
-    boundary = {0: "Y", n_spins - 1: "Y"} | {k: "Z" for k in range(1, n_spins - 1)}
-    strings = [{j: "X", j + 1: "X"} for j in range(n_spins - 1)] + [boundary]
-    bonds = np.zeros((1 << n_spins, 1 << n_spins))
-    for ops in strings:
-        bonds += pauli_string(n_spins, ops).real
-    bonds.setflags(write=False)
-    return bonds
-
-
 def build_hamiltonian(params: IsingParams) -> np.ndarray:
-    """Dense H(J, B) including the Jordan-Wigner wrapped bond.
+    """Dense H(J, B) including the Jordan-Wigner wrapped bond, written as signed bit flips.
 
-    The j = N-1 bond is X_{N-1} (Ztilde X_0), which reduces to the string
-    Y_0 Z_1 .. Z_{N-2} Y_{N-1}; for N = 2 it is Y_0 Y_1.  Subtracting from a
-    zero matrix keeps every zero entry +0.0, so the result has the bits of
-    subtracting the bond strings one by one.
+    Bond X_j X_{j+1} flips the bits of sites j and j+1 (site 0 leads an
+    index), so -J goes into entry (col ^ mask, col) of every column.  The
+    wrapped bond X_{N-1} (Ztilde X_0) is Y_0 Z_1 .. Z_{N-2} Y_{N-1}
+    = -Ztilde X_0 X_{N-1}: it flips sites 0 and N-1 with the sign +J Ztilde(col),
+    and at N = 2 it lands on the X_0 X_1 entries.  Every update is +-J on a
+    zero matrix, so the result has the bits of subtracting the Pauli bond
+    strings one by one.
     """
     n = params.n_spins
     _check_operator_size(n)
     dim = 1 << n
+    cols, coupling = np.arange(dim), params.coupling_j
     ham = np.zeros((dim, dim), dtype=complex)
-    ham -= params.coupling_j * _bond_sum(n)
+    for j in range(n - 1):
+        ham[cols ^ (3 << (n - 2 - j)), cols] -= coupling
+    ham[cols ^ (1 | 1 << (n - 1)), cols] += coupling * parity_diag(n)
     field = params.field_b * (popcounts(n) * (-2.0) + n)
     ham.flat[:: dim + 1] -= field
     return ham
@@ -129,7 +100,8 @@ def even_ground(params: IsingParams) -> tuple[float, np.ndarray, float]:
     evals, vecs = sector_eigh(params, +1)
     if evals.size > 1 and evals[1] - evals[0] < 1e-10:
         raise RuntimeError(
-            f"even-sector ground state degenerate within 1e-10 at g={params.g}"
+            f"even-sector ground state degenerate within 1e-10 at "
+            f"B={params.field_b}, J={params.coupling_j}"
         )
     state = vecs[:, 0]
     pivot = int(np.argmax(np.abs(state)))
@@ -212,8 +184,6 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     product psi <- phases_l * (K psi); the step phases are exponentiated a
     chunk of steps at a time.  The output has the bits of the per-step
     sector loop kept in the test suite and exact zeros on the odd sector.
-    At N = 8 a step takes 10-13 us, against 41-43 us for the two full-space
-    2^N products it replaces (in process, 2-core Intel Xeon host).
     """
     n = params.n_spins
     if n > _MAX_EVOLVE_SPINS:

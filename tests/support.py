@@ -9,10 +9,11 @@ angle and quasiparticle energy, and ``mode_data`` bundles them;
 it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
 compressed protocol is compared with, and ``bisect_expected_b`` the bisection
 of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
-``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise`` are the
-dense oracle's plain forms (one bond string and one even-sector step at a
-time) that ``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must
-equal bit for bit; ``trotter_evolve_stepwise`` is the product in the full
+``pauli_string`` is a dense Pauli string as a Kronecker product of 2x2
+Paulis; ``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise``
+are the dense oracle's plain forms (one such bond string and one even-sector
+step at a time) that ``dense.build_hamiltonian`` and ``dense.trotter_evolve``
+must equal bit for bit; ``trotter_evolve_stepwise`` is the product in the full
 2^N space, the independent oracle ``dense.trotter_evolve`` must match to
 float accuracy.  ``majoranas`` gives the dense Majoranas as signed bit
 flips, pinned against ``majoranas_kron``, their Kronecker products of Paulis;
@@ -184,6 +185,23 @@ def bisect_expected_b(b_value: float, n_spins: int,
     return 0.5 * (a + b), False
 
 
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def pauli_string(n_spins: int, ops: dict[int, str]) -> np.ndarray:
+    """Dense operator for a Pauli string, ``ops`` mapping site -> 'X'|'Y'|'Z'."""
+    dense._check_operator_size(n_spins)
+    out = np.ones((1, 1), dtype=complex)
+    for site in range(n_spins):
+        out = np.kron(out, _PAULI[ops.get(site, "I")])
+    return out
+
+
 def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:
     """Dense H(J, B), subtracting each bond string and the field from a zero matrix in turn."""
     n = params.n_spins
@@ -191,9 +209,9 @@ def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:
     dim = 1 << n
     ham = np.zeros((dim, dim), dtype=complex)
     for j in range(n - 1):
-        ham -= params.coupling_j * dense.pauli_string(n, {j: "X", j + 1: "X"})
+        ham -= params.coupling_j * pauli_string(n, {j: "X", j + 1: "X"})
     boundary = {0: "Y", n - 1: "Y"} | {k: "Z" for k in range(1, n - 1)}
-    ham -= params.coupling_j * dense.pauli_string(n, boundary)
+    ham -= params.coupling_j * pauli_string(n, boundary)
     field = params.field_b * (dense.popcounts(n) * (-2.0) + n)
     ham -= np.diag(field.astype(complex))
     return ham
@@ -237,7 +255,7 @@ def trotter_evolve_sector_stepwise(params: IsingParams,
 def majoranas(n_spins: int) -> list[np.ndarray]:
     """The 2N Majorana generators x_0 .. x_{2N-1} as dense matrices.
 
-    Site 0 is the leading bit of a basis index, as in ``dense.pauli_string``.
+    Site 0 is the leading bit of a basis index, as in ``pauli_string``.
     Both x_{2j} = Z..Z X_j and x_{2j+1} = Z..Z Y_j flip site j's bit; the Z
     string gives the sign (-1)^(1-bits on sites 0..j-1), and Y_j a further +i
     on a cleared bit and -i on a set one.
@@ -262,8 +280,8 @@ def majoranas_kron(n_spins: int) -> list[np.ndarray]:
     out = []
     for j in range(n_spins):
         string = {k: "Z" for k in range(j)}
-        out.append(dense.pauli_string(n_spins, string | {j: "X"}))
-        out.append(dense.pauli_string(n_spins, string | {j: "Y"}))
+        out.append(pauli_string(n_spins, string | {j: "X"}))
+        out.append(pauli_string(n_spins, string | {j: "Y"}))
     return out
 
 

@@ -29,7 +29,7 @@ from rotation_oracle import (
     shift_matrix,
     su2_tree,
 )
-from support import conjugation_rotation, exp_generator, tau
+from support import conjugation_rotation, exp_generator, pauli_string, tau
 
 
 class TestSchedule:
@@ -90,16 +90,12 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(4, steps=0)
 
-    def test_error_budget_warning(self):
-        with pytest.warns(UserWarning, match="exceeds"):
-            build_schedule(4, total_time=100.0, steps=10, error_budget=1e-3)
-
     def test_proxy_past_the_float_range_raises_before_the_budget_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="the Trotter proxy L\\*Delta\\^2 is not finite "
                                                  "at N=4, T=1e\\+200, L=8"):
-                build_schedule(4, total_time=1e200, steps=8, error_budget=1.0)
+                build_schedule(4, total_time=1e200, steps=8)
 
 
 class TestGenerators:
@@ -148,7 +144,7 @@ class TestStepRotations:
     def test_r0_sign_pinned_by_dense_conjugation(self):
         # U0 = exp(i B Delta H0) acts on Majoranas as R0 = exp(+4 B Delta h0).
         n, b_delta = 2, 0.3
-        field = sum(dense.pauli_string(n, {j: "Z"}) for j in range(n))
+        field = sum(pauli_string(n, {j: "Z"}) for j in range(n))
         rot_ref = conjugation_rotation(n, expm(1j * b_delta * field))
         sch = TrotterSchedule(total_time=b_delta, steps=0)
         assert np.abs(r0_rotation(1.0, sch, n) - rot_ref).max() < 1e-12

@@ -536,24 +536,20 @@ class TestEstimate:
     def test_infinite_proxy_is_one_error_line_without_a_budget_warning(self, tmp_path, capsys):
         out = tmp_path / "new.json"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a budget warning would end the run here
+            warnings.simplefilter("error")  # any warning would end the run here
             assert_usage_error(capsys, ["estimate", "--n", "4", "--g", "1", "--seed", "1",
-                                        "--t-total", "1e200", "--l-steps", "8",
-                                        "--error-budget", "1", "--out", str(out)],
+                                        "--t-total", "1e200", "--l-steps", "8", "--out", str(out)],
                                "the Trotter proxy L*Delta^2 is not finite at N=4, T=1e+200, L=8")
         assert not out.exists()
 
-    def test_error_budget_warns_from_the_one_schedule(self, tmp_path, monkeypatch):
+    def test_builds_one_schedule(self, tmp_path, monkeypatch):
         calls = []
         build = adiabatic.build_schedule
         monkeypatch.setattr(adiabatic, "build_schedule",
-                            lambda *args, **kwargs: calls.append(kwargs) or build(*args, **kwargs))
-        with pytest.warns(UserWarning, match="exceeds the error budget 1e-06"):
-            code, data = run(tmp_path, *self.ARGS, "--error-budget", "1e-6")
-        assert code == 0 and [kw["error_budget"] for kw in calls] == [1e-6]
-        payload, golden = json.loads(data), json.loads((GOLDEN / "estimate.json").read_bytes())
-        assert payload.pop("config") == {**golden.pop("config"), "error_budget": 1e-6}
-        assert payload == golden
+                            lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+        code, data = run(tmp_path, *self.ARGS)
+        assert code == 0 and calls == [(4, None, 2048)]
+        assert data == (GOLDEN / "estimate.json").read_bytes()
 
     def test_reproducible_byte_identical(self, tmp_path):
         code1, first = run(tmp_path, *self.ARGS)

@@ -7,7 +7,7 @@ from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from support import (hamiltonian_from_strings, majoranas, majoranas_kron, mode_energy,
-                     trotter_evolve_sector_stepwise, trotter_evolve_stepwise)
+                     pauli_string, trotter_evolve_sector_stepwise, trotter_evolve_stepwise)
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -31,7 +31,7 @@ class TestHamiltonian:
     def test_wrapped_bond_is_yy_string(self):
         # X_{N-1} Ztilde X_0 = Y_0 Z...Z Y_{N-1}; at N=2 the bond pair is XX + YY.
         ham = dense.build_hamiltonian(IsingParams(2, field_b=0.0, coupling_j=1.0))
-        expected = -(dense.pauli_string(2, {0: "X", 1: "X"}) + dense.pauli_string(2, {0: "Y", 1: "Y"}))
+        expected = -(pauli_string(2, {0: "X", 1: "X"}) + pauli_string(2, {0: "Y", 1: "Y"}))
         assert np.abs(ham - expected).max() < 1e-15
 
     @pytest.mark.parametrize("n_spins", [2, 4, 8])
@@ -62,12 +62,6 @@ class TestHamiltonian:
         for field_b, coupling_j in couplings:
             params = IsingParams(n_spins, field_b=float(field_b), coupling_j=float(coupling_j))
             assert_same_bits(dense.build_hamiltonian(params), hamiltonian_from_strings(params))
-
-    def test_bond_sum_is_read_only(self):
-        bonds = dense._bond_sum(4)
-        assert not bonds.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            bonds[0, 0] = 1.0
 
     def test_returned_hamiltonian_is_private(self):
         params = IsingParams(4, field_b=0.7, coupling_j=1.3)
@@ -110,6 +104,9 @@ class TestGroundStateEven:
         # At B = 0 and N = 2 the even sector is exactly twofold degenerate.
         with pytest.raises(RuntimeError, match="degenerate"):
             dense.ground_state_even(IsingParams(2, field_b=0.0, coupling_j=1.0))
+        # At B = J = 0 every level is degenerate and g = B/J is undefined.
+        with pytest.raises(RuntimeError, match="degenerate within 1e-10 at B=0.0, J=0.0"):
+            dense.even_ground(IsingParams(2, field_b=0.0, coupling_j=0.0))
 
 
 class TestObservables:

@@ -16,6 +16,7 @@ from support import (
     majorana_two_point,
     majoranas,
     matchgate_unitary,
+    pauli_string,
     vacuum_covariance,
 )
 
@@ -141,7 +142,7 @@ class TestExpectationZ0:
         unitary = matchgate_unitary(n, h)
         vac = np.zeros(4, dtype=complex)
         vac[0] = 1.0
-        dense_val = dense.expectation(unitary @ vac, dense.pauli_string(n, {0: "Z"}))
+        dense_val = dense.expectation(unitary @ vac, pauli_string(n, {0: "Z"}))
         assert dense_val == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_spins", [2, 3, 4])
@@ -151,7 +152,7 @@ class TestExpectationZ0:
             rot, unitary = random_matchgate_product(n_spins, n_gates, rng)
             vac = np.zeros(1 << n_spins, dtype=complex)
             vac[0] = 1.0
-            dense_val = dense.expectation(unitary @ vac, dense.pauli_string(n_spins, {0: "Z"}))
+            dense_val = dense.expectation(unitary @ vac, pauli_string(n_spins, {0: "Z"}))
             assert abs(expectation_z0(rot) - dense_val) < 1e-9
             assert abs(expectation_z0(rot)) <= 1.0 + 1e-12
 
