@@ -10,7 +10,10 @@
 #   Parity:     Ztilde = (-1)^(number of fermions); |0..0> is in the +1 sector.
 #
 # Everything here is deliberately dense and small (N <= 12 operators,
-# N <= 10 evolution): this module is the oracle, not the product path.
+# N <= 10 evolution): this module is the oracle, not the product path.  The
+# evolution alone uses one more symmetry: on the even sector the wrapped bond
+# is +J X_{N-1} X_0, and the twisted shift (site j -> j+1, then Z on site 0)
+# commutes with H and fixes |0..0>, so the state stays in its fixed subspace.
 
 from __future__ import annotations
 
@@ -173,27 +176,57 @@ def variance(state: np.ndarray, op: np.ndarray) -> float:
     return var
 
 
+def symmetric_basis(n_spins: int) -> np.ndarray:
+    """Orthonormal real columns spanning the even states fixed by the twisted shift.
+
+    The twisted shift maps |s> to (-1)^(s & 1) |(s >> 1) | ((s & 1) << (N-1))>:
+    site j moves to site j+1 (site 0 leads an index) and Z acts on the new
+    site 0.  Its N-th power is Ztilde, +1 on the even sector.  Each column is
+    sum_{m<N} shift^m |r>, normalized, for r the smallest index of one orbit;
+    orbits whose signs cancel are dropped.  The sums are exact integers, so a
+    norm is either 0 or at least 1.  Column 0 is |0..0>.
+    """
+    _check_operator_size(n_spins)
+    start = np.flatnonzero(parity_diag(n_spins) > 0)
+    cols = np.arange(start.size)
+    sums = np.zeros((1 << n_spins, start.size))
+    states, signs, lowest = start.copy(), np.ones(start.size), start.copy()
+    for _ in range(n_spins):
+        sums[states, cols] += signs
+        signs = np.where(states & 1, -signs, signs)
+        states = (states >> 1) | ((states & 1) << (n_spins - 1))
+        np.minimum(lowest, states, out=lowest)
+    norms = np.sqrt(np.sum(sums * sums, axis=0))
+    keep = (lowest == start) & (norms > 0.0)
+    return sums[:, keep] / norms[keep]
+
+
 def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """Apply the digital-adiabatic product to |0..0>.
 
     Step l applies U0 = exp(i B Delta H0) first, then U1 = exp(i J (l/L) Delta H1),
     for l = 0 .. L in that order, the same convention as the compressed product.
-    Both layers commute with Ztilde, so the state stays in the even sector of
-    |0..0>.  There it is carried in the eigenbasis of H1, where U0 is the
-    matrix K = V^dag diag(u0) V formed once and a step is one half-size
-    product psi <- phases_l * (K psi); the step phases are exponentiated a
-    chunk of steps at a time.  The output has the bits of the per-step
-    sector loop kept in the test suite and exact zeros on the odd sector.
+    Both layers commute with Ztilde and the twisted shift, so the state stays
+    in the span of ``symmetric_basis``, which holds |0..0> (16 of the even
+    sector's 128 states at N = 8).  There it is carried in the eigenbasis V of
+    H1 (one real eigh of H1 reduced to that span), where U0 is the matrix
+    K = V^T diag(u0) V formed once and a step is one small product
+    psi <- phases_l * (K psi); the step phases are exponentiated a chunk of
+    steps at a time.  The output has the bits of the per-step reduced loop
+    kept in the test suite and exact zeros on the odd sector.
     """
     n = params.n_spins
     if n > _MAX_EVOLVE_SPINS:
         raise ValueError(f"dense evolution capped at N={_MAX_EVOLVE_SPINS}, got {n}")
-    # H1 = +sum XX; its even-sector eigenvectors, embedded in the 2^N space.
-    w1, v1 = sector_eigh(IsingParams(n, field_b=0.0, coupling_j=-1.0), +1)
+    basis = symmetric_basis(n)
+    # H1 = +sum XX; its eigenvectors in the symmetric subspace, embedded in the 2^N space.
+    h1 = build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))
+    w1, u1 = np.linalg.eigh(basis.T @ (h1 @ basis).real)
+    v1 = basis @ u1
     # H0 = sum_j Z_j is diagonal.
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * popcounts(n)))
-    k0 = v1.conj().T @ (u0[:, None] * v1)
-    state = v1[0].conj()  # |0..0> in H1's eigenbasis
+    k0 = v1.T @ (u0[:, None] * v1)
+    state = v1[0]  # |0..0> in H1's eigenbasis
     angles = 1j * params.coupling_j * schedule.taus() / 2.0
     chunk = max(1, _PHASE_CHUNK_ENTRIES // w1.size)
     for lo in range(0, schedule.steps + 1, chunk):

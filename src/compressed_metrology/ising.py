@@ -30,7 +30,10 @@ def check_curve_size(n_spins: int) -> None:
 
 @dataclass(frozen=True)
 class IsingParams:
-    """Chain size and couplings; g = B/J is the only combination the curves use."""
+    """Chain size N, transverse field B and coupling J of one chain.
+
+    The closed-form curves below take g = B/J as their argument instead.
+    """
 
     n_spins: int
     field_b: float
@@ -41,12 +44,6 @@ class IsingParams:
             raise ValueError(f"n_spins must be a power of two >= 2, got {self.n_spins}")
         if not (math.isfinite(self.field_b) and math.isfinite(self.coupling_j)):
             raise ValueError("couplings must be finite")
-
-    @property
-    def g(self) -> float:
-        if self.coupling_j == 0.0:
-            raise ValueError("g = B/J undefined at J = 0")
-        return self.field_b / self.coupling_j
 
 
 def mode_xi(n_spins: int, j: int) -> float:

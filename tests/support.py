@@ -2,8 +2,9 @@
 
 ``program_permutation`` and ``program_unitary`` give the exact basis map and
 the dense matrix of a gate program, through the gate interpreter;
-``bogoliubov_angle`` and ``mode_energy`` are one fermion mode's closed-form
-angle and quasiparticle energy, and ``mode_data`` bundles them;
+``ratio_g`` is g = B/J of a parameter set; ``bogoliubov_angle`` and
+``mode_energy`` are one fermion mode's closed-form angle and quasiparticle
+energy, and ``mode_data`` bundles them;
 ``tau`` is one step's interaction time, written apart from
 ``TrotterSchedule.taus`` so the oracles check that formula rather than share
 it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
@@ -11,9 +12,10 @@ compressed protocol is compared with, and ``bisect_expected_b`` the bisection
 of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
 ``pauli_string`` is a dense Pauli string as a Kronecker product of 2x2
 Paulis; ``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise``
-are the dense oracle's plain forms (one such bond string and one even-sector
-step at a time) that ``dense.build_hamiltonian`` and ``dense.trotter_evolve``
-must equal bit for bit; ``trotter_evolve_stepwise`` is the product in the full
+are the dense oracle's plain forms (one such bond string, and one step in
+the twisted-shift-symmetric even subspace, at a time) that
+``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must equal bit for
+bit; ``trotter_evolve_stepwise`` is the product in the full
 2^N space, the independent oracle ``dense.trotter_evolve`` must match to
 float accuracy.  ``majoranas`` gives the dense Majoranas as signed bit
 flips, pinned against ``majoranas_kron``, their Kronecker products of Paulis;
@@ -82,6 +84,13 @@ def program_unitary(program: GateProgram, n_qubits: int) -> np.ndarray:
 SINGULAR_RADICAND = 1e-300
 
 
+def ratio_g(params: IsingParams) -> float:
+    """g = B/J, the only combination the closed-form curves use."""
+    if params.coupling_j == 0.0:
+        raise ValueError("g = B/J undefined at J = 0")
+    return params.field_b / params.coupling_j
+
+
 def bogoliubov_angle(params: IsingParams, j: int) -> tuple[float, float]:
     """(cos theta_j, sin theta_j) of the Bogoliubov rotation for mode j.
 
@@ -92,7 +101,7 @@ def bogoliubov_angle(params: IsingParams, j: int) -> tuple[float, float]:
     """
     if not 0 <= j < params.n_spins:
         raise ValueError(f"mode index {j} out of range for N={params.n_spins}")
-    g = params.g
+    g = ratio_g(params)
     xi = ising.mode_xi(params.n_spins, j)
     rad = ising._radicand(g, xi)
     if rad < SINGULAR_RADICAND:
@@ -128,7 +137,7 @@ class ModeData:
 
 def is_singular_mode(params: IsingParams, j: int) -> bool:
     """The gap-closing mode, where ``bogoliubov_angle`` falls back to (1, 0)."""
-    return ising._radicand(params.g, ising.mode_xi(params.n_spins, j)) < SINGULAR_RADICAND
+    return ising._radicand(ratio_g(params), ising.mode_xi(params.n_spins, j)) < SINGULAR_RADICAND
 
 
 def mode_data(params: IsingParams, j: int) -> ModeData:
@@ -240,12 +249,20 @@ def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> n
 
 def trotter_evolve_sector_stepwise(params: IsingParams,
                                    schedule: TrotterSchedule) -> np.ndarray:
-    """``dense.trotter_evolve``'s even-sector product, each step's phases exponentiated alone."""
+    """``dense.trotter_evolve``'s reduced product, each step's phases exponentiated alone.
+
+    Steps through the same twisted-shift-symmetric even subspace in H1's
+    eigenbasis, so the chunked phases of ``dense.trotter_evolve`` must give
+    its bits exactly.
+    """
     n = params.n_spins
-    w1, v1 = dense.sector_eigh(IsingParams(n, field_b=0.0, coupling_j=-1.0), +1)
+    basis = dense.symmetric_basis(n)
+    h1 = dense.build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))
+    w1, u1 = np.linalg.eigh(basis.T @ (h1 @ basis).real)
+    v1 = basis @ u1
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * dense.popcounts(n)))
-    k0 = v1.conj().T @ (u0[:, None] * v1)
-    state = v1[0].conj()
+    k0 = v1.T @ (u0[:, None] * v1)
+    state = v1[0]
     for l in range(schedule.steps + 1):
         phases = np.exp(1j * params.coupling_j * tau(schedule, l) / 2.0 * w1)
         state = phases * (k0 @ state)

@@ -178,6 +178,58 @@ class TestExpectationHelpers:
             dense.expectation(np.ones(4, dtype=complex), np.eye(8, dtype=complex))
 
 
+def twisted_shift(n_spins: int) -> np.ndarray:
+    """Z_0 after the cyclic site shift j -> j+1, as a signed permutation matrix."""
+    dim = 1 << n_spins
+    cols = np.arange(dim)
+    shift = np.zeros((dim, dim))
+    shift[(cols >> 1) | ((cols & 1) << (n_spins - 1)), cols] = 1.0
+    return pauli_string(n_spins, {0: "Z"}).real @ shift
+
+
+class TestSymmetricBasis:
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    def test_twisted_shift(self, n_spins):
+        # site j moves to site j+1, the wrapped site picks up Z_0, and the
+        # N-th power is Ztilde; |0..0> is fixed
+        shift = twisted_shift(n_spins)
+        for j in range(n_spins):
+            sign = -1.0 if j == n_spins - 1 else 1.0
+            moved = shift @ pauli_string(n_spins, {j: "X"}) @ shift.T
+            assert np.array_equal(moved, sign * pauli_string(n_spins, {(j + 1) % n_spins: "X"}))
+        parity = np.diag(dense.parity_diag(n_spins))
+        assert np.array_equal(np.linalg.matrix_power(shift, n_spins), parity)
+        vacuum = np.eye(1 << n_spins)[0]
+        assert np.array_equal(shift @ vacuum, vacuum)
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    def test_shift_commutes_with_hamiltonian_on_even_sector(self, n_spins):
+        rng = np.random.default_rng(7 + n_spins)
+        shift = twisted_shift(n_spins)
+        even = dense.parity_diag(n_spins) > 0
+        for coupling_sign in (1.0, -1.0, 1.0, -1.0):
+            params = IsingParams(n_spins, field_b=float(rng.uniform(-2.0, 2.0)),
+                                 coupling_j=coupling_sign * float(rng.uniform(0.2, 2.0)))
+            ham = dense.build_hamiltonian(params)
+            assert np.abs((shift @ ham - ham @ shift)[:, even]).max() < 1e-12
+
+    @pytest.mark.parametrize("n_spins,size", [(2, 1), (4, 2), (8, 16)])
+    def test_basis_spans_the_fixed_even_states(self, n_spins, size):
+        basis = dense.symmetric_basis(n_spins)
+        assert basis.dtype == np.float64 and basis.shape == (1 << n_spins, size)
+        assert not basis[dense.parity_diag(n_spins) < 0].any()
+        assert np.abs(basis.T @ basis - np.eye(size)).max() < 1e-15
+        shift = twisted_shift(n_spins)
+        assert np.abs(shift @ basis - basis).max() < 1e-15
+        # no fixed even state is missing: the trace of the projector
+        # (1/N) sum_m shift^m onto the fixed even states is the column count
+        even = np.diag(dense.parity_diag(n_spins) > 0).astype(float)
+        powers = [np.linalg.matrix_power(shift, m) for m in range(n_spins)]
+        assert np.trace(sum(powers) @ even) / n_spins == pytest.approx(size, abs=1e-12)
+        vacuum = np.eye(1 << n_spins)[0]
+        assert np.array_equal(basis @ (basis.T @ vacuum), vacuum)
+
+
 class TestTrotterEvolve:
     def test_trivial_run(self):
         state = dense.trotter_evolve(
@@ -244,6 +296,15 @@ class TestTrotterEvolve:
         state = dense.trotter_evolve(params, sch)
         assert np.abs(state - trotter_evolve_stepwise(params, sch)).max() < 1e-11
 
+    @pytest.mark.parametrize("g", [0.37, 1.0, 1.9])
+    def test_crosscheck_size_equals_both_loops(self, g):
+        # compare and oracle at N = 8, L = 2048 on the default schedule T = 10 N^2
+        params = IsingParams(8, field_b=g, coupling_j=1.0)
+        sch = adiabatic.build_schedule(8, None, 2048)
+        state = dense.trotter_evolve(params, sch)
+        assert_same_bits(state, trotter_evolve_sector_stepwise(params, sch))
+        assert np.abs(state - trotter_evolve_stepwise(params, sch)).max() < 1e-11
+
     @staticmethod
     def _random_case(n_spins, steps):
         rng = np.random.default_rng(100 * n_spins + steps)
@@ -283,18 +344,18 @@ class TestQFI:
         dg2 = ising.variance_b(1.0, 4) / ising.expected_b_derivative(1.0, 4) ** 2
         assert dg2 * qfi == pytest.approx(1.0, abs=1e-6)
 
-    def test_one_even_sector_solve_per_oracle_point(self, monkeypatch, tmp_path):
-        # one sector_eigh per (N, g) for the ground branch and its QFI, and
-        # one per trotter_evolve for the bond sum's eigenbasis
-        calls = 0
-        solve = dense.sector_eigh
+    def test_eigh_sizes_per_oracle_point(self, monkeypatch, tmp_path):
+        # per (N, g): one even-sector solve (8 or 128 states) for the ground
+        # branch and its QFI, then one solve of the bond sum in trotter_evolve's
+        # symmetric subspace (2 or 16 states)
+        sizes = []
+        solve = np.linalg.eigh
 
-        def counting(params, parity):
-            nonlocal calls
-            calls += 1
-            return solve(params, parity)
+        def recording(matrix, *args, **kwargs):
+            sizes.append(matrix.shape[0])
+            return solve(matrix, *args, **kwargs)
 
-        monkeypatch.setattr(dense, "sector_eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
         assert cli.main(["oracle", "--n", "4,8", "--g", "0.7,1.0", "--l-steps", "64",
                          "--out", str(tmp_path / "oracle.json")]) == 0
-        assert calls == 8
+        assert sizes == [8, 2, 8, 2, 128, 16, 128, 16]
