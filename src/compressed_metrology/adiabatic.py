@@ -15,14 +15,26 @@ are pinned against the dense spin-space oracle.
 Both Trotter layers are translation covariant under shifting Majorana cells,
 so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
 momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
-multiplies the steps of momenta 0..N/2 in cache-sized chunks and undoes the
-Fourier transform with one inverse FFT over the 2x2 blocks; this is the only
-product path, written through ``out=`` buffers allocated once per call, and
-a chunk's steps are stored so that each tree level reads contiguous halves.
-``momentum_b`` runs the same product at the one momentum 2 pi / N that the
-protocol's <B> lives in.  The test suite keeps the step-by-step product of the
-2N x 2N rotations and the allocating per-momentum product, which this one
-equals bit for bit, as oracles.
+multiplies the steps of momenta 0..N/2 and undoes the Fourier transform with
+one inverse FFT over the 2x2 blocks; ``momentum_b`` runs the same product at
+the one momentum 2 pi / N that the protocol's <B> lives in.
+
+The product takes the steps in blocks of m.  A step at z = e^{iq} has
+a = c cb + s sb z^-1 and b = s cb z - c sb, so the product of m steps is a
+Laurent polynomial in z with real coefficients: powers -m..m-1 in a and
+-m+1..m in b, 2m each.  Its values at m + 1 points of the 2m-point grid
+e^{i pi j / m} fix it; one inverse real FFT of size 2m gives the
+coefficients and one real FFT of length N their values at all N/2 + 1
+momenta.  That costs m + 1 + (N/2 + 1)/m entries per step instead of
+N/2 + 1, and m ~ sqrt(N/2) makes it about 2 sqrt(N/2).  The FFTs move the
+last bits, and below m = 4 they cost more than they save, so one momentum
+and N <= 32 keep m = 1: each step evaluated at q, the bits of the plain
+product.  Block values are streamed in cache-sized chunks through ``out=``
+buffers allocated once per call, a chunk stored so that each level of its
+pairwise tree reads contiguous halves.  The test suite keeps the
+step-by-step product of the 2N x 2N rotations, the allocating per-momentum
+product (equal bit for bit where m = 1) and an extended-precision product
+as oracles.
 """
 
 from __future__ import annotations
@@ -147,41 +159,130 @@ def _su2_tree(
     return src_a[0], src_b[0]
 
 
+def _block_size(modes: int) -> int:
+    """Steps per block of the product at ``modes`` momenta: 1, or a power of two m >= 4.
+
+    m is the largest power of two with m (m + 1) <= modes, so that a block's
+    grid values fit in the buffers of its values at the momenta.  Blocks cost
+    m + 1 + modes / m entries per step plus four real FFTs per block; below
+    m = 4 that does not beat the modes entries per step of m = 1, which one
+    momentum and N <= 32 keep.
+    """
+    m = 4
+    while 2 * m * (2 * m + 1) <= modes:
+        m *= 2
+    return m if m * (m + 1) <= modes else 1
+
+
+def _steps(
+    c: np.ndarray, s: np.ndarray, cb: float, sb: float, z: np.ndarray,
+    out_a: np.ndarray, out_b: np.ndarray
+) -> None:
+    """(a, b) of the steps G_odd(q, phi) @ G_even(beta) at z = e^{iq}, c, s = cos, sin phi:
+    a = c cb + (s sb) conj(z),  b = (s cb) z - c sb."""
+    np.add(c * cb, np.multiply(s * sb, z.conj(), out=out_a), out=out_a)
+    np.subtract(np.multiply(s * cb, z, out=out_b), c * sb, out=out_b)
+
+
+def _interpolate(
+    grid: np.ndarray, top: int, coef: np.ndarray, wrap: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into ``out`` the values at z = e^{i q_k}, q_k = 2 pi k / N, k = 0..N/2, of real
+    Laurent polynomials with powers top - 2m + 1..top, top = m - 1 or m.
+
+    Row r of ``grid`` holds polynomial r at z_j = e^{i pi j / m}, j = 0..m:
+    with real coefficients the other m - 1 points of the 2m-point grid are
+    their conjugates, so these fix it.  An inverse real FFT of size 2m gives
+    the coefficients, index t holding power -t mod 2m.  Placed at index
+    -power mod N of ``wrap`` (2m <= N, so none collide), a real FFT of
+    length N sums them into the values.  ``wrap`` has N columns and is zero
+    outside -m..m mod N; its entries m and -m are the ones the two windows
+    do not share, and are cleared here.
+    """
+    rows, m, n = grid.shape[0], grid.shape[1] - 1, wrap.shape[1]
+    head = 2 * m - top  # powers 0, -1, .., 1 - head sit at indices 0..head-1
+    np.fft.irfft(grid, n=2 * m, axis=-1, out=coef[:rows])
+    wrap[:rows, m] = wrap[:rows, n - m] = 0.0
+    wrap[:rows, :head] = coef[:rows, :head]
+    wrap[:rows, n - 2 * m + head:] = coef[:rows, head:]
+    np.fft.rfft(wrap[:rows], axis=-1, out=out)
+
+
+def _block_values(
+    phi: np.ndarray, pad: np.ndarray, cb: float, sb: float, grid: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray], tree: tuple[np.ndarray, np.ndarray, np.ndarray],
+    coef: np.ndarray, wrap: np.ndarray
+) -> None:
+    """Write (a, b) at q_k = 2 pi k / N, k = 0..N/2, of each block of steps into ``out``.
+
+    ``phi`` (m, blocks) holds the blocks' angles, rows in ``_tree_layout(m)``
+    order; the last block's rows ``pad`` are identity steps (a = 1, b = 0).
+    Each block's product is a Laurent polynomial in z with real coefficients,
+    of powers -m..m-1 in a and -m+1..m in b: its pairwise tree runs on the
+    grid z_j = e^{i pi j / m}, j = 0..m, and ``_interpolate`` takes it to the
+    momenta.  The grid steps and their tree live in the
+    memory of ``out`` and ``tree``: a's values are read before ``out[0]`` is
+    written, and b's never sit in it.
+    """
+    m, count = phi.shape
+    size = m * count * (m + 1)
+    work = [buf.reshape(-1)[:size].reshape(m, count, m + 1) for buf in out]
+    halves = [buf.reshape(-1)[:size // 2].reshape(m // 2, count, m + 1) for buf in tree]
+    _steps(np.cos(phi)[:, :, None], np.sin(phi)[:, :, None], cb, sb, grid, *work)
+    work[0][pad, -1] = 1.0
+    work[1][pad, -1] = 0.0
+    for values, top, dest in zip(_su2_tree(*work, *halves), (m - 1, m), out):
+        _interpolate(values, top, coef, wrap, dest)
+
+
 def _momentum_products(
     params: IsingParams, schedule: TrotterSchedule, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) of the ordered SU(2) products [[a, -conj(b)], [b, conj(a)]] at each momentum q.
 
+    q is one momentum or the half spectrum q_k = 2 pi k / N, k = 0..N/2.
     Momentum q sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
-    are streamed in chunks of about _CHUNK_ENTRIES (step, mode) entries, each
-    reduced by a pairwise tree and folded into the running product.  The step
-    arrays, the tree's level buffers and its layout are made once per call.
+    are taken in blocks of m = ``_block_size(q.size)``: with m = 1 a block's
+    value is its step at q, with m > 1 it comes from ``_block_values``.  The
+    block values are streamed in chunks of about _CHUNK_ENTRIES (block,
+    momentum) entries, each reduced by a pairwise tree and folded into the
+    running product.  The buffers and the tree's layout are made once per call.
     """
-    steps = schedule.steps
+    n, steps, modes = params.n_spins, schedule.steps, q.size
+    m = _block_size(modes)
     beta = 2.0 * params.field_b * schedule.delta
     cb, sb = math.cos(beta), math.sin(beta)
-    phase_up = np.exp(1j * q)
-    phase_down = phase_up.conj()
+    # the steps' z = e^{iq}, or a block's grid z_j = e^{i pi j / m}, j = 0..m
+    z = np.exp(1j * q) if m == 1 else np.exp(1j * np.pi * np.arange(m + 1) / m)
 
-    acc_a = np.ones(q.size, dtype=complex)
-    acc_b = np.zeros(q.size, dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // q.size)
-    rows = min(chunk, steps + 1)
-    step_a, step_b = (np.empty((rows, q.size), dtype=complex) for _ in range(2))
-    half_a, half_b, scratch = (np.empty(((rows + 1) // 2, q.size), dtype=complex)
+    acc_a = np.ones(modes, dtype=complex)
+    acc_b = np.zeros(modes, dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // modes)
+    blocks = -(-(steps + 1) // m)
+    rows = min(chunk, blocks)
+    step_a, step_b = (np.empty((rows, modes), dtype=complex) for _ in range(2))
+    half_a, half_b, scratch = (np.empty(((rows + 1) // 2, modes), dtype=complex)
                                for _ in range(3))
     layout = _tree_layout(rows)
-    for start in range(0, steps + 1, chunk):
-        stop = min(start + chunk, steps + 1)
-        if stop - start < rows:  # the short last chunk
-            layout = _tree_layout(stop - start)
-        phi = params.coupling_j * schedule.taus(start, stop)[layout]
-        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        # step = G_odd(q, phi) @ G_even(beta) in (a, b) components:
-        # a = c cb + (s sb) conj(e^{iq}),  b = (s cb) e^{iq} - c sb
-        ch_a, ch_b = step_a[:phi.size], step_b[:phi.size]
-        np.add(c * cb, np.multiply(s * sb, phase_down, out=ch_a), out=ch_a)
-        np.subtract(np.multiply(s * cb, phase_up, out=ch_b), c * sb, out=ch_b)
+    if m > 1:
+        inner = _tree_layout(m)
+        coef, wrap = np.empty((rows, 2 * m)), np.zeros((rows, n))
+    for first in range(0, blocks, chunk):
+        count = min(chunk, blocks - first)
+        if count < rows:  # the short last chunk
+            layout = _tree_layout(count)
+        start, stop = first * m, min((first + count) * m, steps + 1)
+        ch_a, ch_b = step_a[:count], step_b[:count]
+        if m == 1:
+            phi = params.coupling_j * schedule.taus(start, stop)[layout]
+            _steps(np.cos(phi)[:, None], np.sin(phi)[:, None], cb, sb, z, ch_a, ch_b)
+        else:
+            phi = np.zeros(count * m)
+            phi[:stop - start] = params.coupling_j * schedule.taus(start, stop)
+            # _tree_layout keeps the last block last; its rows past stop are padding
+            pad = np.flatnonzero(inner >= stop - start - (count - 1) * m)
+            _block_values(phi.reshape(count, m)[layout][:, inner].T, pad, cb, sb, z,
+                          (ch_a, ch_b), (half_a, half_b, scratch), coef, wrap)
         ch_a, ch_b = _su2_tree(ch_a, ch_b, half_a, half_b, scratch)
         acc_a, acc_b = ch_a * acc_a - np.conj(ch_b) * acc_b, ch_b * acc_a + np.conj(ch_a) * acc_b
         # The (a, b) form is exactly unitary iff |a|^2 + |b|^2 = 1, so a cheap
@@ -208,8 +309,8 @@ def momentum_b(params: IsingParams, schedule: TrotterSchedule) -> float:
 def adiabatic_rotation(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """Ordered product prod_{l=0..L} R1(J, l) R0(B), step l = 0 applied first.
 
-    Evaluated per momentum (half spectrum) and transformed back to the real
-    2N x 2N rotation.
+    Evaluated per momentum (half spectrum, in blocks of steps from N = 64 on)
+    and transformed back to the real 2N x 2N rotation.
     """
     n = params.n_spins
     # (a, b) of the per-momentum products at q_k = 2 pi k / N, k = 0..N/2

@@ -72,17 +72,15 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
     return ham
 
 
-def sector_eigh(params: IsingParams, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of H restricted to a Ztilde parity sector.
+def even_sector_eigh(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of H restricted to the even (Ztilde = +1) sector.
 
     Projecting before solving avoids any ambiguity from the even/odd level
     crossing at g = 1.  Returns (eigenvalues, eigenvectors embedded in the
     full 2^N space, one per column), both sorted ascending.
     """
-    if parity not in (+1, -1):
-        raise ValueError("parity must be +1 or -1")
     ham = build_hamiltonian(params)
-    keep = np.flatnonzero(parity_diag(params.n_spins) == parity)
+    keep = np.flatnonzero(parity_diag(params.n_spins) > 0)
     evals, sector_vecs = np.linalg.eigh(ham[np.ix_(keep, keep)])
     vecs = np.zeros((ham.shape[0], keep.size), dtype=complex)
     vecs[keep, :] = sector_vecs
@@ -100,7 +98,7 @@ def even_ground(params: IsingParams) -> tuple[float, np.ndarray, float]:
     diagonal at fixed J; each eigenvalue is halved before the gap is taken,
     so no gap overflows at the largest fields the Hamiltonian holds.
     """
-    evals, vecs = sector_eigh(params, +1)
+    evals, vecs = even_sector_eigh(params)
     if evals.size > 1 and evals[1] - evals[0] < 1e-10:
         raise RuntimeError(
             f"even-sector ground state degenerate within 1e-10 at "

@@ -110,21 +110,21 @@ def expected_m_derivative(g: float, n_spins: int) -> float:
 
 
 def variance_m(g: float, n_spins: int) -> float:
-    """Var M = (4/N^2) [1 + sum_{j=1}^{N/2-1} sin^2(xi_j)/r_j^2].
+    """Var M = (4/N^2) sum_{j=1}^{N/2-1} sin^2(xi_j)/r_j^2 on the even branch.
 
-    The leading constant 1 inside the bracket follows the conventional
-    closed form, but it is spurious: the exact even-branch variance is
-    (4/N^2) * sum_j sin^2(theta_j), i.e. this value minus 4/N^2 (at
-    g -> infinity the state is a product state and the variance vanishes
-    exactly, while this expression tends to 4/N^2).  The dense oracle pins
-    the offset; the O(1/N) scaling at g = 1 is unaffected.
+    M = 1 - 2 n/N for n fermions; each pair (j, -j) holds 0 or 2 of them, a
+    number of variance sin^2(theta_j) = sin^2(xi_j)/r_j^2, and the unpaired
+    modes stay empty.  A closed form with a leading 1 inside the sum, 4/N^2
+    above this, is sometimes quoted: it does not vanish in the product state
+    g -> infinity, and the dense oracle rules it out (3x the exact value at
+    N = 4, g = 1).
     """
     check_curve_size(n_spins)
     total = math.fsum(
         math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j))
         for j in range(1, n_spins // 2)
     )
-    return 4.0 / n_spins**2 * (1.0 + total)
+    return 4.0 / n_spins**2 * total
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ arithmetic, the product ``adiabatic.adiabatic_rotation`` evaluates per
 momentum.  The generators and per-step rotations pin the conventions against
 the dense spin-space oracle and the gate program.  ``su2_tree`` and
 ``half_spectrum_products`` are the per-momentum product in its plain,
-allocating form (a new array per operation), which the buffered
-``adiabatic._momentum_products`` at q = 2 pi k / N, k = 0..N/2, must equal
-bit for bit.
+allocating form (a new array per operation), one step at a time.  The
+buffered ``adiabatic._momentum_products`` at q = 2 pi k / N, k = 0..N/2,
+must equal it bit for bit where it too takes one step per block (N <= 32),
+and to 1e-11 where it takes blocks of m > 1 steps through FFTs.
 """
 
 from __future__ import annotations

@@ -17,7 +17,10 @@ the twisted-shift-symmetric even subspace, at a time) that
 ``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must equal bit for
 bit; ``trotter_evolve_stepwise`` is the product in the full
 2^N space, the independent oracle ``dense.trotter_evolve`` must match to
-float accuracy.  ``majoranas`` gives the dense Majoranas as signed bit
+float accuracy, and ``odd_sector_energies`` the odd-sector spectrum next to
+``dense.even_sector_eigh``.  ``products_longdouble`` is the per-momentum
+SU(2) product of ``adiabatic`` in extended precision, on the same float64
+angles.  ``majoranas`` gives the dense Majoranas as signed bit
 flips, pinned against ``majoranas_kron``, their Kronecker products of Paulis;
 summed into b_1 in the mode's order, the latter are the oracle of
 ``dense.observable_b_dense``.  ``exp_generator``,
@@ -226,6 +229,13 @@ def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:
     return ham
 
 
+def odd_sector_energies(params: IsingParams) -> np.ndarray:
+    """H's eigenvalues on the odd (Ztilde = -1) sector, ascending: the counterpart of
+    ``dense.even_sector_eigh``."""
+    keep = np.flatnonzero(dense.parity_diag(params.n_spins) < 0)
+    return np.linalg.eigvalsh(dense.build_hamiltonian(params)[np.ix_(keep, keep)])
+
+
 def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """The digital-adiabatic product on |0..0>, exponentiating each step's phases on its own."""
     n = params.n_spins
@@ -267,6 +277,40 @@ def trotter_evolve_sector_stepwise(params: IsingParams,
         phases = np.exp(1j * params.coupling_j * tau(schedule, l) / 2.0 * w1)
         state = phases * (k0 @ state)
     return v1 @ state
+
+
+def products_longdouble(
+    params: IsingParams, schedule: TrotterSchedule, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the per-momentum SU(2) step products at q, in ``np.clongdouble``.
+
+    The extended-precision oracle of ``adiabatic._momentum_products``: it
+    takes the same float64 angles beta = 2 B Delta and phi_l = J tau(l), and
+    does their cosines and sines, the phases e^{iq} and the ordered product in
+    long double.  Each chunk of steps is reduced by a plain pairwise tree (an
+    identity pads an odd level) and folded in; nothing is renormalized.
+    """
+    ld = np.longdouble
+    q = np.asarray(q, dtype=ld)
+    up = np.cos(q) + 1j * np.sin(q)
+    beta = ld(2.0 * params.field_b * schedule.delta)
+    cb, sb = np.cos(beta), np.sin(beta)
+    acc_a = np.ones(q.size, dtype=np.clongdouble)
+    acc_b = np.zeros(q.size, dtype=np.clongdouble)
+    chunk = max(1, (1 << 16) // q.size)
+    for start in range(0, schedule.steps + 1, chunk):
+        stop = min(start + chunk, schedule.steps + 1)
+        phi = (params.coupling_j * schedule.taus(start, stop)).astype(ld)
+        c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+        a, b = c * cb + s * sb * up.conj(), s * cb * up - c * sb
+        while a.shape[0] > 1:
+            if a.shape[0] % 2:
+                a = np.concatenate([a, np.ones_like(a[:1])])
+                b = np.concatenate([b, np.zeros_like(b[:1])])
+            a, b = (a[1::2] * a[0::2] - np.conj(b[1::2]) * b[0::2],
+                    b[1::2] * a[0::2] + np.conj(a[1::2]) * b[0::2])
+        acc_a, acc_b = a[0] * acc_a - np.conj(b[0]) * acc_b, b[0] * acc_a + np.conj(a[0]) * acc_b
+    return acc_a, acc_b
 
 
 def majoranas(n_spins: int) -> list[np.ndarray]:

@@ -99,12 +99,12 @@ def test_criterion_3_heisenberg_scaling(capsys):
 def test_criterion_4_magnetization_suboptimality(capsys):
     """M at g=1 over N in {256..8192}: slope in [-1.35, -1.0] and dg^2*N*log^2 N flat to 10%.
 
-    At g = 1 the closed forms give Var M * N = 1 + 2/N and
+    At g = 1 the closed forms give Var M * N = 1 - 2/N and
     d<M>/dg -> (ln N + gamma + ln(2/pi) - 1)/pi, so dg^2 -> pi^2/(N ln^2 N):
-    dg^2*N*log^2 N is the product that flattens (+-7.3% over this window,
+    dg^2*N*log^2 N is the product that flattens (+-6.6% over this window,
     approaching pi^2).  The former +-25% window on dg^2*N*log N is replaced by
     this 10% window on the log^2 product, because dg^2*N*log N falls like
-    pi^2/ln N and drifts +-30.6% here (printed as context).  A 1/(N log N) law
+    pi^2/ln N and drifts +-29.9% here (printed as context).  A 1/(N log N) law
     would drift the log^2 product by +-24%, past the window, and a 1/N^2 law
     would leave the slope window.
     """

@@ -29,7 +29,7 @@ from rotation_oracle import (
     shift_matrix,
     su2_tree,
 )
-from support import conjugation_rotation, exp_generator, pauli_string, tau
+from support import conjugation_rotation, exp_generator, pauli_string, products_longdouble, tau
 
 
 class TestSchedule:
@@ -237,9 +237,18 @@ class TestAdiabaticRotation:
         assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
 
 
+def assert_matches_plain(got: np.ndarray, want: np.ndarray) -> None:
+    """Byte for byte where the product runs one step per block (m = 1), else within 1e-11."""
+    if adiabatic._block_size(got.size) == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-11
+
+
 class TestBufferedProduct:
-    """The buffered product against its plain form in ``rotation_oracle``, byte for byte
-    (stricter than equal values: the sign of every zero must match too)."""
+    """The buffered product against its plain form in ``rotation_oracle``: byte for byte
+    (stricter than equal values: the sign of every zero must match too) where it
+    runs one step per block, within 1e-11 where it runs blocks of m > 1 steps."""
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.integers(1, 1025), modes=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -277,7 +286,7 @@ class TestBufferedProduct:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n_spins=st.sampled_from([2, 4, 8, 16, 32]),
+        n_spins=st.sampled_from([2, 4, 8, 16, 32, 64, 256]),
         chunk_entries=st.integers(1, 4096),
         chunks=st.integers(1, 3),
         offset=st.sampled_from([-1, 0, 1]),
@@ -285,22 +294,24 @@ class TestBufferedProduct:
         coupling=st.floats(-3.0, 3.0),
     )
     @example(n_spins=8, chunk_entries=5, chunks=1, offset=-1, b_field=0.9, coupling=1.3)
+    @example(n_spins=64, chunk_entries=70, chunks=3, offset=1, b_field=0.9, coupling=1.3)
     def test_products_are_bitwise_plain(self, n_spins, chunk_entries, chunks, offset,
                                         b_field, coupling):
         # L + 1 steps one short of, equal to and one past whole chunks, for
-        # chunks of one row up to many
-        chunk = max(1, chunk_entries // (n_spins // 2 + 1))
+        # chunks of one row (or block) up to many
+        modes = n_spins // 2 + 1
+        chunk = max(1, chunk_entries // modes) * adiabatic._block_size(modes)
         steps = max(0, chunks * chunk + offset - 1)
         params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
         sch = TrotterSchedule(total_time=20.0, steps=steps)
-        q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
+        q = 2.0 * np.pi * np.arange(modes) / n_spins
         with mock.patch.object(adiabatic, "_CHUNK_ENTRIES", chunk_entries):
             plain = half_spectrum_products(params, sch)
             buffered = adiabatic._momentum_products(params, sch, q)
         for got, want in zip(buffered, plain):
-            assert got.tobytes() == want.tobytes()
+            assert_matches_plain(got, want)
 
-    @pytest.mark.parametrize("n_spins", [64, 128, 256])
+    @pytest.mark.parametrize("n_spins", [32, 64, 128, 256])
     @pytest.mark.parametrize("steps", [0, 4095, 30000])
     def test_full_chunks_are_bitwise_plain(self, n_spins, steps):
         params = IsingParams(n_spins, field_b=0.7, coupling_j=1.0)
@@ -308,7 +319,60 @@ class TestBufferedProduct:
         q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
         for got, want in zip(adiabatic._momentum_products(params, sch, q),
                              half_spectrum_products(params, sch)):
-            assert got.tobytes() == want.tobytes()
+            assert_matches_plain(got, want)
+
+
+class TestBlockedProduct:
+    """Blocks of m > 1 steps, evaluated on a 2m-point grid and interpolated to the momenta."""
+
+    def test_block_sizes(self):
+        # one momentum and N <= 32 keep one step per block, and their bits
+        sizes = [adiabatic._block_size(n // 2 + 1) for n in (2, 4, 8, 16, 32, 64, 128, 256, 512)]
+        assert sizes == [1, 1, 1, 1, 1, 4, 4, 8, 8]
+        assert adiabatic._block_size(1) == 1
+
+    @pytest.mark.parametrize("m,n_spins", [(2, 4), (4, 64), (8, 256), (16, 1024)])
+    def test_interpolation_reproduces_trig_polynomials(self, m, n_spins):
+        # Random real polynomials in both windows, a's (top m - 1) and b's
+        # (top m), through one shared wrap buffer in turn, so that an entry
+        # left over from the other window would show.
+        gen = np.random.default_rng(m)
+        rows, modes = 5, n_spins // 2 + 1
+        coef, wrap = np.empty((rows, 2 * m)), np.zeros((rows, n_spins))
+        k = np.arange(modes)
+        for top in (m, m - 1, m, m - 1):
+            powers = np.arange(top - 2 * m + 1, top + 1)
+            c = gen.normal(size=(rows, 2 * m)) / math.sqrt(2 * m)
+            grid = c @ np.exp(1j * np.pi * np.outer(powers, np.arange(m + 1)) / m)
+            # e^{i p q_k} with p k reduced mod N in integers
+            want = c @ np.exp(2j * np.pi * (np.outer(powers, k) % n_spins) / n_spins)
+            got = np.empty((rows, modes), dtype=complex)
+            adiabatic._interpolate(grid, top, coef, wrap, got)
+            assert np.abs(got - want).max() < 1e-14
+
+    @pytest.mark.parametrize("n_spins", [64, 256])
+    @pytest.mark.parametrize("boundary", ["block", "chunk"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_and_chunk_boundaries(self, n_spins, boundary, offset):
+        # L + 1 one short of, equal to and one past a whole block (the last
+        # block padded with identity steps) and a whole chunk of blocks
+        modes = n_spins // 2 + 1
+        m = adiabatic._block_size(modes)
+        whole = 5 * m if boundary == "block" else adiabatic._CHUNK_ENTRIES // modes * m
+        params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
+        sch = TrotterSchedule(total_time=20.0, steps=whole + offset - 1)
+        q = 2.0 * np.pi * np.arange(modes) / n_spins
+        for got, want in zip(adiabatic._momentum_products(params, sch, q),
+                             half_spectrum_products(params, sch)):
+            assert np.abs(got - want).max() <= 1e-11
+
+    def test_rotation_at_512_spins(self):
+        params = IsingParams(512, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=0.3 * 512**2, steps=30000)
+        rot = adiabatic_rotation(params, sch)
+        matchgate.assert_rotation(rot)
+        assert abs(matchgate.expectation_quadratic(rot, matchgate.observable_b_coefficients(512))
+                   - adiabatic.momentum_b(params, sch)) < 1e-12
 
 
 class TestMomentumKernel:
@@ -351,6 +415,45 @@ class TestMomentumKernel:
         a, b = adiabatic._momentum_products(params, sch, np.array([2.0 * np.pi / 16]))
         assert a.shape == b.shape == (1,)
         assert abs(abs(a[0]) ** 2 + abs(b[0]) ** 2 - 1.0) < 1e-14
+
+
+def test_long_double_is_wider_than_float64():
+    # products_longdouble is an independent oracle only if it carries more bits
+    assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+@pytest.mark.slow
+class TestLongDoubleOracle:
+    """The float64 products against ``support.products_longdouble`` on the same angles."""
+
+    @pytest.mark.parametrize("n_spins", [16, 256, 1024])
+    @pytest.mark.parametrize("shift", [-4, 0, 4])
+    def test_momentum_b(self, n_spins, shift):
+        # The linear ramp at T = 0.3 N^2 with Delta ~ 0.3, L = N^2
+        params = IsingParams(n_spins, field_b=1.0 + shift / n_spins, coupling_j=1.0)
+        self.assert_momentum_b(params, TrotterSchedule(total_time=0.3 * n_spins**2,
+                                                       steps=n_spins**2))
+
+    def test_momentum_b_over_ten_million_steps(self):
+        self.assert_momentum_b(IsingParams(1024, field_b=1.0, coupling_j=1.0),
+                               TrotterSchedule(total_time=0.3 * 1024**2, steps=10**7))
+
+    @staticmethod
+    def assert_momentum_b(params, sch):
+        a, b = products_longdouble(params, sch, np.array([2.0 * np.pi / params.n_spins]))
+        exact = 0.5 * (1 - (a[0] * a[0] + b[0] * b[0]).real)
+        assert abs(adiabatic.momentum_b(params, sch) - exact) < 1e-13
+
+    @pytest.mark.parametrize("n_spins", [32, 64, 256])
+    @pytest.mark.parametrize("g", [0.5, 1.0, 1.4])
+    def test_products(self, n_spins, g):
+        # the rotation-scan schedule: T = 10 N^2, L = 30000
+        params = IsingParams(n_spins, field_b=g, coupling_j=1.0)
+        sch = build_schedule(n_spins, steps=30000)
+        q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
+        for got, want in zip(adiabatic._momentum_products(params, sch, q),
+                             products_longdouble(params, sch, q)):
+            assert np.abs(got - want).max() < 1e-11
 
 
 class TestTrotterErrorProxy:

@@ -255,8 +255,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (["scaling", "--n", "8,16", "--g", "1e60"],
          "precision_b at N=8, g=1e+60: g is not identifiable"),
-        (["scaling", "--n", "8,16", "--g", "1e52"],
-         "precision_m at N=256, g=1e+52: g is not identifiable"),
+        # At large g, |d<M>/dg|^2 -> 1/(4 g^6) underflows later than |d<B>/dg|^2 at
+        # N >= 8, and Var M/|d<M>/dg|^2 -> 4 g^4/N stays finite: precision_b fails first.
+        (["scaling", "--n", "8,16", "--g", "1e54"],
+         "precision_b at N=8, g=1e+54: g is not identifiable"),
         (["estimate", "--n", "4", "--g", "1e60"],
          "precision_b at N=4, g=1e+60: g is not identifiable"),
     ])

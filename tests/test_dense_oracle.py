@@ -7,7 +7,8 @@ from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from support import (hamiltonian_from_strings, majoranas, majoranas_kron, mode_energy,
-                     pauli_string, trotter_evolve_sector_stepwise, trotter_evolve_stepwise)
+                     odd_sector_energies, pauli_string, trotter_evolve_sector_stepwise,
+                     trotter_evolve_stepwise)
 
 
 def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -45,8 +46,8 @@ class TestHamiltonian:
         base = -0.5 * sum(eps)
         even_expected = base + (eps[0] if g < 1 else 0.0)
         odd_expected = base + (eps[0] if g > 1 else 0.0)
-        assert dense.sector_eigh(p, +1)[0][0] == pytest.approx(even_expected, abs=1e-9)
-        assert dense.sector_eigh(p, -1)[0][0] == pytest.approx(odd_expected, abs=1e-9)
+        assert dense.even_sector_eigh(p)[0][0] == pytest.approx(even_expected, abs=1e-9)
+        assert odd_sector_energies(p)[0] == pytest.approx(odd_expected, abs=1e-9)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):

@@ -190,11 +190,13 @@ class TestMagnetizationCurves:
             assert ising.expected_m_derivative(1.0, n) == pytest.approx(asymptote, rel=1e-4)
 
     def test_variance_frozen(self):
-        assert ising.variance_m(1.0, 4) == pytest.approx(0.375, abs=1e-15)
+        # N = 4, g = 1: the one paired mode has sin^2(theta_1) = 1/2, so Var M = (4/16)(1/2)
+        assert ising.variance_m(1.0, 4) == pytest.approx(0.125, abs=1e-15)
 
     def test_variance_polarized(self):
+        # the product state g -> infinity: Var M g^2 -> (4/N^2) sum_j sin^2(xi_j) = 1/N
         for n in (4, 16):
-            assert ising.variance_m(1e9, n) == pytest.approx(4.0 / n**2, rel=1e-9)
+            assert ising.variance_m(1e9, n) * 1e18 == pytest.approx(1.0 / n, rel=1e-8)
 
     def test_variance_inverse_n_scaling(self):
         vals = [ising.variance_m(1.0, n) * n for n in (256, 1024, 4096)]
@@ -220,11 +222,4 @@ def test_dense_oracle_equivalence(n, g):
     assert dense.expectation(gs, b_op) == pytest.approx(ising.expected_b(g, n), abs=1e-9)
     assert dense.expectation(gs, m_op) == pytest.approx(ising.expected_m(g, n), abs=1e-9)
     assert dense.variance(gs, b_op) == pytest.approx(ising.variance_b(g, n), abs=1e-9)
-    # The conventional magnetization-variance closed form overshoots the
-    # exact even-branch variance by exactly 4/N^2 (its leading constant is
-    # spurious); variance_m keeps that form, so the oracle check pins the
-    # offset rather than the raw value.
-    assert dense.variance(gs, m_op) == pytest.approx(
-        ising.variance_m(g, n) - 4.0 / n**2, abs=1e-9
-    )
-    assert abs(dense.variance(gs, m_op) - ising.variance_m(g, n)) > 1e-3
+    assert dense.variance(gs, m_op) == pytest.approx(ising.variance_m(g, n), abs=1e-9)
