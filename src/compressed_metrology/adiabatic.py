@@ -16,8 +16,10 @@ Both Trotter layers are translation covariant under shifting Majorana cells,
 so the whole product block-diagonalizes per momentum into 2x2 unitaries, and
 momentum N - k is the conjugate of momentum k.  ``adiabatic_rotation``
 multiplies the steps of momenta 0..N/2 and undoes the Fourier transform with
-one inverse FFT over the 2x2 blocks; ``momentum_b`` runs the same product at
-the one momentum 2 pi / N that the protocol's <B> lives in.
+one inverse FFT over the 2x2 blocks; the result is block circulant, and one
+copy of a strided view of those N cells lays it out, so the back-transform
+holds its output and O(N) more.  ``momentum_b`` runs the same product at the
+one momentum 2 pi / N that the protocol's <B> lives in.
 
 The product takes the steps in blocks of m.  A step at z = e^{iq} has
 a = c cb + s sb z^-1 and b = s cb z - c sb, so the product of m steps is a
@@ -29,12 +31,14 @@ momenta.  That costs m + 1 + (N/2 + 1)/m entries per step instead of
 N/2 + 1, and m ~ sqrt(N/2) makes it about 2 sqrt(N/2).  The FFTs move the
 last bits, and below m = 4 they cost more than they save, so one momentum
 and N <= 32 keep m = 1: each step evaluated at q, the bits of the plain
-product.  Block values are streamed in cache-sized chunks through ``out=``
-buffers allocated once per call, a chunk stored so that each level of its
-pairwise tree reads contiguous halves.  The test suite keeps the
-step-by-step product of the 2N x 2N rotations, the allocating per-momentum
-product (equal bit for bit where m = 1) and an extended-precision product
-as oracles.
+product.  Block values are streamed in chunks of _CHUNK_ENTRIES (block,
+momentum) entries through ``out=`` buffers allocated once per call, so the
+product's working set, about 2.5 MB, grows with neither N nor L; a chunk is
+stored so that each level of its pairwise tree reads contiguous halves.
+The test suite keeps the step-by-step product of the 2N x 2N rotations, the
+allocating per-momentum product (equal bit for bit where m = 1), the
+offset-table gather of the back-transform (equal byte for byte) and an
+extended-precision product as oracles.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ import numpy as np
 from .ising import IsingParams
 
 # (step, mode) entries per chunk of the streamed product: each complex step
-# array is 1 MB whatever N and L are, so a chunk's tree stays in cache.
-_CHUNK_ENTRIES = 1 << 16
+# array is 512 KB whatever N and L are.  With the tree's three half-size
+# buffers and the blocks' FFT rows a chunk's working set is about 2.5 MB
+# (tracemalloc peak 2.6-2.7 MiB per call at N = 64..256), near a 2 MB L2.
+_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -326,8 +332,11 @@ def adiabatic_rotation(params: IsingParams, schedule: TrotterSchedule) -> np.nda
 
     # Back-transform: R[2j+a, 2l+b] = (1/N) sum_k e^{i q_k (j - l)} blocks[k, a, b]
     # is block circulant, so it is the inverse FFT of the blocks read at (j - l) mod N.
+    # Row j reads cells[j], cells[j - 1], ..: window j of the doubled-up cells,
+    # reversed, so a strided view and one copy build R without an index table.
     cells = np.fft.ifft(blocks, axis=0)
     if np.abs(cells.imag).max() > 1e-10:
         raise AssertionError("momentum reconstruction produced a non-real rotation")
-    offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return cells.real[offset].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    ext = np.concatenate([cells.real[1:], cells.real])  # ext[t] = cells[(t - n + 1) mod n]
+    view = np.lib.stride_tricks.sliding_window_view(ext, n, axis=0)
+    return view[:, :, :, ::-1].transpose(0, 1, 3, 2).reshape(2 * n, 2 * n)

@@ -29,7 +29,6 @@ programs and the oracle the compiled runner is tested against.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -366,16 +365,6 @@ def expectation_b_gate(params: IsingParams, schedule: TrotterSchedule) -> float:
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
-_GATE_RE = re.compile(
-    r"^(?:(X|HT) (\d+)"
-    r"|(RY)\(([^)]+)\) (\d+)"
-    r"|(RXX)\(([^)]+)\) (\d+),(\d+)"
-    r"|(CX) (\d+(?:,\d+)*) -> (\d+))$"
-)
-_META_RE = re.compile(
-    r"^# N=(\d+) B=(\S+) J=(\S+) T=(\S+) L=(\d+)$"
-)
-
 
 def dump_program(program: GateProgram) -> str:
     """One gate per line; a metadata header when the program carries one."""
@@ -397,34 +386,6 @@ def dump_program(program: GateProgram) -> str:
             ctrls = ",".join(str(c) for c in gate.controls)
             lines.append(f"CX {ctrls} -> {gate.qubits[0]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_program(text: str) -> GateProgram:
-    gates: list[Gate] = []
-    meta: ProgramMeta | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _META_RE.match(line)
-            if match:
-                meta = ProgramMeta(int(match[1]), float(match[2]), float(match[3]),
-                                   float(match[4]), int(match[5]))
-            continue
-        match = _GATE_RE.match(line)
-        if not match:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
-        if match[1]:
-            gates.append(Gate(match[1], (int(match[2]),)))
-        elif match[3]:
-            gates.append(Gate("RY", (int(match[5]),), angle=float(match[4])))
-        elif match[6]:
-            gates.append(Gate("RXX", (int(match[8]), int(match[9])), angle=float(match[7])))
-        else:
-            controls = tuple(int(c) for c in match[11].split(","))
-            gates.append(Gate("CX", (int(match[12]),), controls=controls))
-    return GateProgram(gates=tuple(gates), meta=meta)
 
 
 def lowered_gate_count(program: GateProgram) -> int:

@@ -9,6 +9,9 @@ allocating form (a new array per operation), one step at a time.  The
 buffered ``adiabatic._momentum_products`` at q = 2 pi k / N, k = 0..N/2,
 must equal it bit for bit where it too takes one step per block (N <= 32),
 and to 1e-11 where it takes blocks of m > 1 steps through FFTs.
+``gather_rotation`` is the back-transform from those products as an index
+gather through an N x N offset table, which ``adiabatic_rotation``'s strided
+view must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -147,3 +150,22 @@ def half_spectrum_products(
         acc_a /= norm
         acc_b /= norm
     return acc_a, acc_b
+
+
+def gather_rotation(acc_a: np.ndarray, acc_b: np.ndarray) -> np.ndarray:
+    """The 2N x 2N rotation from the half-spectrum products (a, b) at k = 0..N/2.
+
+    R[2j+a, 2l+b] = cells[(j - l) mod N, a, b] for cells the inverse FFT of the
+    2x2 blocks over all N momenta, read through an explicit offset table.
+    """
+    half = acc_a.size
+    n = 2 * (half - 1)
+    blocks = np.empty((n, 2, 2), dtype=complex)
+    blocks[:half, 0, 0] = acc_a
+    blocks[:half, 0, 1] = -np.conj(acc_b)
+    blocks[:half, 1, 0] = acc_b
+    blocks[:half, 1, 1] = np.conj(acc_a)
+    blocks[half:] = np.conj(blocks[half - 2:0:-1])
+    cells = np.fft.ifft(blocks, axis=0)
+    offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return cells.real[offset].transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)

@@ -1,7 +1,9 @@
 """Test-side helpers the package itself does not use.
 
-``program_permutation`` and ``program_unitary`` give the exact basis map and
-the dense matrix of a gate program, through the gate interpreter;
+``parse_program`` reads a ``circuit.dump_program`` text back into its gate
+program (the dump's round trip); ``program_permutation`` and
+``program_unitary`` give the exact basis map and the dense matrix of a gate
+program, through the gate interpreter;
 ``ratio_g`` is g = B/J of a parameter set; ``bogoliubov_angle`` and
 ``mode_energy`` are one fermion mode's closed-form angle and quasiparticle
 energy, and ``mode_data`` bundles them;
@@ -36,13 +38,20 @@ quadratic generator and the rotation it induces on the Majoranas.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from compressed_metrology import dense, ising
 from compressed_metrology.adiabatic import TrotterSchedule
-from compressed_metrology.circuit import CompressedRegister, GateProgram, apply_program
+from compressed_metrology.circuit import (
+    CompressedRegister,
+    Gate,
+    GateProgram,
+    ProgramMeta,
+    apply_program,
+)
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.matchgate import _check_even_square
 
@@ -50,6 +59,46 @@ from compressed_metrology.matchgate import _check_even_square
 def tau(schedule: TrotterSchedule, l: int) -> float:
     """Ising interaction time 2 l Delta / L of step l; 0 at l = 0, also for L = 0."""
     return 0.0 if l == 0 else 2.0 * l * schedule.delta / schedule.steps
+
+
+_GATE_RE = re.compile(
+    r"^(?:(X|HT) (\d+)"
+    r"|(RY)\(([^)]+)\) (\d+)"
+    r"|(RXX)\(([^)]+)\) (\d+),(\d+)"
+    r"|(CX) (\d+(?:,\d+)*) -> (\d+))$"
+)
+_META_RE = re.compile(
+    r"^# N=(\d+) B=(\S+) J=(\S+) T=(\S+) L=(\d+)$"
+)
+
+
+def parse_program(text: str) -> GateProgram:
+    """The gate program of a ``circuit.dump_program`` text, its metadata header included."""
+    gates: list[Gate] = []
+    meta: ProgramMeta | None = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            match = _META_RE.match(line)
+            if match:
+                meta = ProgramMeta(int(match[1]), float(match[2]), float(match[3]),
+                                   float(match[4]), int(match[5]))
+            continue
+        match = _GATE_RE.match(line)
+        if not match:
+            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        if match[1]:
+            gates.append(Gate(match[1], (int(match[2]),)))
+        elif match[3]:
+            gates.append(Gate("RY", (int(match[5]),), angle=float(match[4])))
+        elif match[6]:
+            gates.append(Gate("RXX", (int(match[8]), int(match[9])), angle=float(match[7])))
+        else:
+            controls = tuple(int(c) for c in match[11].split(","))
+            gates.append(Gate("CX", (int(match[12]),), controls=controls))
+    return GateProgram(gates=tuple(gates), meta=meta)
 
 
 def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:

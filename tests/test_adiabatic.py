@@ -1,6 +1,7 @@
 """Schedules, per-step rotations (signs pinned by the dense oracle), products."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -21,6 +22,7 @@ from compressed_metrology.ising import IsingParams
 from rotation_oracle import (
     block_rotation,
     direct_rotation,
+    gather_rotation,
     h0_generator,
     h1_generator,
     half_spectrum_products,
@@ -236,6 +238,47 @@ class TestAdiabaticRotation:
         sch = TrotterSchedule(total_time=20.0, steps=chunk + offset - 1)
         assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
 
+    @pytest.mark.parametrize("n_spins", [2, 4, 64, 256])
+    def test_back_transform_is_bitwise_gather(self, n_spins):
+        # the strided view against the offset-table gather of the same products
+        params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
+        sch = TrotterSchedule(total_time=20.0, steps=333)
+        q = 2.0 * np.pi * np.arange(n_spins // 2 + 1) / n_spins
+        want = gather_rotation(*adiabatic._momentum_products(params, sch, q))
+        assert adiabatic_rotation(params, sch).tobytes() == want.tobytes()
+
+
+class TestWorkingMemory:
+    """tracemalloc peaks of one call (numpy reports its buffers to tracemalloc).
+
+    The product's buffers are a few chunks of _CHUNK_ENTRIES complex entries
+    whatever N and L are, so a budget of 12 such arrays bounds it, and the
+    rotation adds only its (2N)^2 float64 output on top.
+    """
+
+    @staticmethod
+    def peak_bytes(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @property
+    def budget(self) -> int:
+        return 12 * 16 * adiabatic._CHUNK_ENTRIES
+
+    def test_rotation_holds_its_output_and_chunks(self):
+        params = IsingParams(1024, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=0.3 * 1024**2, steps=4096)
+        assert self.peak_bytes(adiabatic_rotation, params, sch) <= 2048**2 * 8 + self.budget
+
+    def test_kernel_does_not_grow_with_steps(self):
+        params = IsingParams(16, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=2560.0, steps=10 * adiabatic._CHUNK_ENTRIES)
+        assert self.peak_bytes(adiabatic.momentum_b, params, sch) <= self.budget
+
 
 def assert_matches_plain(got: np.ndarray, want: np.ndarray) -> None:
     """Byte for byte where the product runs one step per block (m = 1), else within 1e-11."""
@@ -390,7 +433,7 @@ class TestMomentumKernel:
     @pytest.mark.parametrize("n_spins", [8, 64])
     @pytest.mark.parametrize("offset", [0, 1])
     def test_matches_gate_runner_across_a_chunk(self, n_spins, offset):
-        # L + 1 steps filling one whole single-momentum chunk (65 536 rows), and one past it
+        # L + 1 steps filling one whole single-momentum chunk, and one past it
         params = IsingParams(n_spins, field_b=1.0, coupling_j=1.0)
         sch = TrotterSchedule(total_time=10.0 * n_spins**2,
                               steps=adiabatic._CHUNK_ENTRIES - 1 + offset)

@@ -19,7 +19,6 @@ from compressed_metrology.circuit import (
     expectation_b_gate,
     initial_state,
     measure_ym,
-    parse_program,
     run_circuit,
     s1_aux_gates,
     sample_ym,
@@ -27,7 +26,7 @@ from compressed_metrology.circuit import (
 )
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import r0_rotation, r1_rotation, shift_matrix
-from support import program_permutation, program_unitary, tau
+from support import parse_program, program_permutation, program_unitary, tau
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 

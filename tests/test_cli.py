@@ -15,6 +15,7 @@ import pytest
 
 from compressed_metrology import adiabatic, circuit, cli, dense, ising, matchgate, metrology
 from compressed_metrology.cli import _emit, main
+from support import parse_program
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -584,7 +585,7 @@ class TestDump:
     def test_roundtrips_and_metadata(self, tmp_path):
         _, data = run(tmp_path, "dump", "--n", "4", "--b", "1.0", "--j", "0.5",
                       "--t-total", "2.0", "--l-steps", "1")
-        program = circuit.parse_program(data.decode())
+        program = parse_program(data.decode())
         assert circuit.dump_program(program).encode() == data
         assert program.meta.n_spins == 4
         assert program.meta.steps == 1
