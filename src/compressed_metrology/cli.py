@@ -497,7 +497,7 @@ def cmd_oracle(cfg: dict) -> dict:
         parity = np.diag(dense.parity_diag(n)).astype(complex)
         for g in sorted(cfg["g"]):
             params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
-            try:  # the even-sector ground state is not well defined here
+            try:  # the branch's ground level is not well defined here
                 energy, state, qfi = dense.even_ground(params)
             except RuntimeError as exc:
                 _usage_error(f"oracle at N={n}, g={g}: {exc}")

@@ -10,10 +10,11 @@
 #   Parity:     Ztilde = (-1)^(number of fermions); |0..0> is in the +1 sector.
 #
 # Everything here is deliberately dense and small (N <= 12 operators,
-# N <= 10 evolution): this module is the oracle, not the product path.  The
-# evolution alone uses one more symmetry: on the even sector the wrapped bond
-# is +J X_{N-1} X_0, and the twisted shift (site j -> j+1, then Z on site 0)
-# commutes with H and fixes |0..0>, so the state stays in its fixed subspace.
+# N <= 10 evolution): this module is the oracle, not the product path.  On the
+# even sector the wrapped bond is +J X_{N-1} X_0, and the twisted shift (site
+# j -> j+1, then Z on site 0) commutes with H and fixes |0..0>.  The branch
+# grown from |0..0>, which ising's closed forms describe, is solved and evolved
+# in the even states the shift fixes, through one real eigh (_symmetric_eigh).
 
 from __future__ import annotations
 
@@ -55,15 +56,15 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
     index), so -J goes into entry (col ^ mask, col) of every column.  The
     wrapped bond X_{N-1} (Ztilde X_0) is Y_0 Z_1 .. Z_{N-2} Y_{N-1}
     = -Ztilde X_0 X_{N-1}: it flips sites 0 and N-1 with the sign +J Ztilde(col),
-    and at N = 2 it lands on the X_0 X_1 entries.  Every update is +-J on a
-    zero matrix, so the result has the bits of subtracting the Pauli bond
-    strings one by one.
+    and at N = 2 it lands on the X_0 X_1 entries.  Every entry is real, and
+    every update is +-J on a zero matrix, so the result has the bits of the
+    real part of subtracting the Pauli bond strings one by one.
     """
     n = params.n_spins
     _check_operator_size(n)
     dim = 1 << n
     cols, coupling = np.arange(dim), params.coupling_j
-    ham = np.zeros((dim, dim), dtype=complex)
+    ham = np.zeros((dim, dim))
     for j in range(n - 1):
         ham[cols ^ (3 << (n - 2 - j)), cols] -= coupling
     ham[cols ^ (1 | 1 << (n - 1)), cols] += coupling * parity_diag(n)
@@ -72,47 +73,41 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
     return ham
 
 
-def even_sector_eigh(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of H restricted to the even (Ztilde = +1) sector.
-
-    Projecting before solving avoids any ambiguity from the even/odd level
-    crossing at g = 1.  Returns (eigenvalues, eigenvectors embedded in the
-    full 2^N space, one per column), both sorted ascending.
-    """
-    ham = build_hamiltonian(params)
-    keep = np.flatnonzero(parity_diag(params.n_spins) > 0)
-    evals, sector_vecs = np.linalg.eigh(ham[np.ix_(keep, keep)])
-    vecs = np.zeros((ham.shape[0], keep.size), dtype=complex)
-    vecs[keep, :] = sector_vecs
-    return evals, vecs
+def _symmetric_eigh(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, eigenvectors embedded in the 2^N space as columns) of H
+    on the span of ``symmetric_basis``, from one real eigh."""
+    basis = symmetric_basis(params.n_spins)
+    evals, vecs = np.linalg.eigh(basis.T @ (build_hamiltonian(params) @ basis))
+    return evals, basis @ vecs
 
 
 def even_ground(params: IsingParams) -> tuple[float, np.ndarray, float]:
-    """(energy, state, QFI w.r.t. g) of the lowest even-parity level, from one solve.
+    """(energy, real state, QFI w.r.t. g) of the branch grown from |0..0>, from one solve.
 
-    This is the branch the adiabatic evolution from |0..0> tracks; for g < 1
-    it is *not* the global ground state (that one is odd).  Phase convention:
-    the largest-magnitude amplitude of the state is made real positive.  The
-    QFI is the exact sum over the even-sector spectrum,
+    The branch is the lowest level of the even states fixed by the twisted
+    shift, where ``trotter_evolve`` runs; for g < 1 it is not the global
+    ground state (that one is odd), for g < 0 not the lowest even level.
+    Sign convention: the largest-magnitude amplitude is positive.  The QFI is
+    the exact sum over the subspace's spectrum,
     F = 4 sum_{n>0} |<n| dH/dg |0>|^2 / (E_n - E_0)^2, with dH/dg = -J sum_j Z_j
-    diagonal at fixed J; each eigenvalue is halved before the gap is taken,
-    so no gap overflows at the largest fields the Hamiltonian holds.
+    diagonal and shift-invariant; each eigenvalue is halved before the gap is
+    taken, so no gap overflows at the largest fields the Hamiltonian holds.
+    A gap below 1e-10 max(1, |E_0|) raises: at N = 8 that is g <= -1e5, where
+    the gap closes like 1/|g|.
     """
-    evals, vecs = even_sector_eigh(params)
-    if evals.size > 1 and evals[1] - evals[0] < 1e-10:
+    evals, vecs = _symmetric_eigh(params)
+    if evals.size > 1 and evals[1] - evals[0] < 1e-10 * max(1.0, abs(evals[0])):
         raise RuntimeError(
-            f"even-sector ground state degenerate within 1e-10 at "
-            f"B={params.field_b}, J={params.coupling_j}"
+            f"symmetric even-subspace ground state degenerate within "
+            f"1e-10*max(1, |E0|) at B={params.field_b}, J={params.coupling_j}"
         )
     state = vecs[:, 0]
-    pivot = int(np.argmax(np.abs(state)))
-    state = state * (np.abs(state[pivot]) / state[pivot])
-    state = state / np.linalg.norm(state)
+    state = state * np.sign(state[np.argmax(np.abs(state))])
     n = params.n_spins
     dh_dg = -params.coupling_j * (n - 2.0 * popcounts(n))
-    overlaps = vecs[:, 1:].conj().T @ (dh_dg * state)
+    overlaps = vecs[:, 1:].T @ (dh_dg * state)
     half_gaps = 0.5 * evals[1:] - 0.5 * evals[0]
-    return float(evals[0]), state, float(np.sum((np.abs(overlaps) / half_gaps) ** 2))
+    return float(evals[0]), state, float(np.sum((overlaps / half_gaps) ** 2))
 
 
 def ground_state_even(params: IsingParams) -> np.ndarray:
@@ -207,20 +202,17 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     Both layers commute with Ztilde and the twisted shift, so the state stays
     in the span of ``symmetric_basis``, which holds |0..0> (16 of the even
     sector's 128 states at N = 8).  There it is carried in the eigenbasis V of
-    H1 (one real eigh of H1 reduced to that span), where U0 is the matrix
-    K = V^T diag(u0) V formed once and a step is one small product
-    psi <- phases_l * (K psi); the step phases are exponentiated a chunk of
-    steps at a time.  The output has the bits of the per-step reduced loop
-    kept in the test suite and exact zeros on the odd sector.
+    H1 (``_symmetric_eigh``), where U0 is the matrix K = V^T diag(u0) V formed
+    once and a step is one small product psi <- phases_l * (K psi); the step
+    phases are exponentiated a chunk of steps at a time.  The output has the
+    bits of the per-step reduced loop kept in the test suite and exact zeros
+    on the odd sector.
     """
     n = params.n_spins
     if n > _MAX_EVOLVE_SPINS:
         raise ValueError(f"dense evolution capped at N={_MAX_EVOLVE_SPINS}, got {n}")
-    basis = symmetric_basis(n)
     # H1 = +sum XX; its eigenvectors in the symmetric subspace, embedded in the 2^N space.
-    h1 = build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))
-    w1, u1 = np.linalg.eigh(basis.T @ (h1 @ basis).real)
-    v1 = basis @ u1
+    w1, v1 = _symmetric_eigh(IsingParams(n, field_b=0.0, coupling_j=-1.0))
     # H0 = sum_j Z_j is diagonal.
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * popcounts(n)))
     k0 = v1.T @ (u0[:, None] * v1)

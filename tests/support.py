@@ -16,11 +16,13 @@ of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
 Paulis; ``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise``
 are the dense oracle's plain forms (one such bond string, and one step in
 the twisted-shift-symmetric even subspace, at a time) that
-``dense.build_hamiltonian`` and ``dense.trotter_evolve`` must equal bit for
-bit; ``trotter_evolve_stepwise`` is the product in the full
+``dense.build_hamiltonian`` (the real part; the imaginary part is exactly 0)
+and ``dense.trotter_evolve`` must equal bit for bit;
+``trotter_evolve_stepwise`` is the product in the full
 2^N space, the independent oracle ``dense.trotter_evolve`` must match to
-float accuracy, and ``odd_sector_energies`` the odd-sector spectrum next to
-``dense.even_sector_eigh``.  ``products_longdouble`` is the per-momentum
+float accuracy, and ``sector_energies`` the spectrum of a whole parity
+sector, the independent leg of ``dense.even_ground``'s solve in the
+twisted-shift-symmetric subspace.  ``products_longdouble`` is the per-momentum
 SU(2) product of ``adiabatic`` in extended precision, on the same float64
 angles.  ``majoranas`` gives the dense Majoranas as signed bit
 flips, pinned against ``majoranas_kron``, their Kronecker products of Paulis;
@@ -278,10 +280,9 @@ def hamiltonian_from_strings(params: IsingParams) -> np.ndarray:
     return ham
 
 
-def odd_sector_energies(params: IsingParams) -> np.ndarray:
-    """H's eigenvalues on the odd (Ztilde = -1) sector, ascending: the counterpart of
-    ``dense.even_sector_eigh``."""
-    keep = np.flatnonzero(dense.parity_diag(params.n_spins) < 0)
+def sector_energies(params: IsingParams, parity: int) -> np.ndarray:
+    """H's eigenvalues on the whole Ztilde = ``parity`` (+1 or -1) sector, ascending."""
+    keep = np.flatnonzero(dense.parity_diag(params.n_spins) == parity)
     return np.linalg.eigvalsh(dense.build_hamiltonian(params)[np.ix_(keep, keep)])
 
 
@@ -317,7 +318,7 @@ def trotter_evolve_sector_stepwise(params: IsingParams,
     n = params.n_spins
     basis = dense.symmetric_basis(n)
     h1 = dense.build_hamiltonian(IsingParams(n, field_b=0.0, coupling_j=-1.0))
-    w1, u1 = np.linalg.eigh(basis.T @ (h1 @ basis).real)
+    w1, u1 = np.linalg.eigh(basis.T @ (h1 @ basis))
     v1 = basis @ u1
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * dense.popcounts(n)))
     k0 = v1.T @ (u0[:, None] * v1)

@@ -149,7 +149,7 @@ class TestOut:
 
     @pytest.mark.parametrize("argv,message", [
         (["compare", "--n", "16", "--g", "1.0"], "N <= 8 required"),
-        (["oracle", "--n", "4", "--g", "0", "--l-steps", "8"], "degenerate"),
+        (["oracle", "--n", "8", "--g=-1e20", "--l-steps", "8"], "degenerate"),
     ])
     def test_usage_error_removes_new_file(self, tmp_path, capsys, argv, message):
         out = tmp_path / "new.json"
@@ -621,11 +621,28 @@ class TestOracle:
         assert_usage_error(capsys, ["oracle", "--n", "16", "--g", "1.0"],
                            "oracle is capped at N <= 10")
 
-    @pytest.mark.parametrize("g,message", [
-        ("0", "oracle at N=4, g=0.0: even-sector ground state degenerate"),
-    ])
-    def test_degenerate_point_is_usage_error(self, capsys, g, message):
-        assert_usage_error(capsys, ["oracle", "--n", "4", "--g", g, "--l-steps", "8"], message)
+    @pytest.mark.parametrize("g", ["-1e+05", "-1e+08", "-1e+20"])
+    def test_degenerate_point_is_usage_error(self, capsys, g):
+        # the symmetric subspace's gap closes like 1/|g| at g < 0: 1e-5 at
+        # g = -1e5, under 1e-10 |E_0| = 4e-5 though far above an absolute 1e-10
+        assert_usage_error(capsys, ["oracle", "--n", "8", f"--g={g}", "--l-steps", "8"],
+                           f"oracle at N=8, g={float(g)}: symmetric even-subspace ground state "
+                           f"degenerate within 1e-10*max(1, |E0|) at B={float(g)}, J=1.0")
+
+    def test_branch_matches_closed_forms(self, tmp_path):
+        # the branch grown from |0..0> on both sides of g = 0, where the whole
+        # even sector's lowest level is another state
+        grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+        code, data = run(tmp_path, "oracle", "--n", "4,8", "--g=" + ",".join(map(str, grid)),
+                         "--l-steps", "8")
+        rows = json.loads(data)["rows"]
+        assert code == 0 and [(r["n"], r["g"]) for r in rows] == [
+            (n, g) for n in (4, 8) for g in grid]
+        for row in rows:
+            for key in ("expected_b", "expected_m", "variance_b", "variance_m"):
+                closed = getattr(ising, key)(row["g"], row["n"])
+                assert row[key] == pytest.approx(closed, abs=1e-12), key
+            assert row["qfi"] == pytest.approx(ising.qfi(row["g"], row["n"]), rel=1e-12)
 
     def test_point_next_to_degeneracy_runs(self, tmp_path):
         # the even-sector gap is open at g = 1e-4, and the spectral QFI needs no neighbour in g

@@ -7,7 +7,7 @@ from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
 from support import (hamiltonian_from_strings, majoranas, majoranas_kron, mode_energy,
-                     odd_sector_energies, pauli_string, trotter_evolve_sector_stepwise,
+                     pauli_string, sector_energies, trotter_evolve_sector_stepwise,
                      trotter_evolve_stepwise)
 
 
@@ -46,8 +46,8 @@ class TestHamiltonian:
         base = -0.5 * sum(eps)
         even_expected = base + (eps[0] if g < 1 else 0.0)
         odd_expected = base + (eps[0] if g > 1 else 0.0)
-        assert dense.even_sector_eigh(p)[0][0] == pytest.approx(even_expected, abs=1e-9)
-        assert odd_sector_energies(p)[0] == pytest.approx(odd_expected, abs=1e-9)
+        assert dense.even_ground(p)[0] == pytest.approx(even_expected, abs=1e-9)
+        assert sector_energies(p, -1)[0] == pytest.approx(odd_expected, abs=1e-9)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -56,20 +56,24 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n_spins", [2, 4, 8])
     def test_equals_string_by_string_build(self, n_spins):
         # At N = 2 the bond X_0 X_1 and the wrapped bond Y_0 Y_1 hit the same
-        # entries, half of which cancel to zero.
+        # entries, half of which cancel to zero.  The Pauli strings are complex
+        # and their sum is real: H has the bits of its real part.
         rng = np.random.default_rng(n_spins)
         couplings = [(1.0, 1.0), (0.0, -1.0), (2.0, 0.0), (0.0, 0.0)]
         couplings += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
         for field_b, coupling_j in couplings:
             params = IsingParams(n_spins, field_b=float(field_b), coupling_j=float(coupling_j))
-            assert_same_bits(dense.build_hamiltonian(params), hamiltonian_from_strings(params))
+            expected = hamiltonian_from_strings(params)
+            assert not expected.imag.any()
+            assert_same_bits(dense.build_hamiltonian(params), expected.real)
 
     def test_returned_hamiltonian_is_private(self):
         params = IsingParams(4, field_b=0.7, coupling_j=1.3)
         expected = hamiltonian_from_strings(params)
+        assert not expected.imag.any()
         ham = dense.build_hamiltonian(params)
         ham[...] = 5.0
-        assert_same_bits(dense.build_hamiltonian(params), expected)
+        assert_same_bits(dense.build_hamiltonian(params), expected.real)
 
 
 class TestGroundStateEven:
@@ -80,12 +84,12 @@ class TestGroundStateEven:
         assert np.abs(state - expected).max() < 1e-12
 
     def test_zero_field_magnetization(self):
-        # At exactly B = 0 the even sector is twofold degenerate (the mode-0
-        # and mode-N/2 flips cost the same), so the branch value is taken as
-        # the g -> 0+ limit, where <M> -> 1/2.
-        state = dense.ground_state_even(IsingParams(4, field_b=1e-9, coupling_j=1.0))
+        # At B = 0 the whole even sector is twofold degenerate (the mode-0 and
+        # mode-N/2 flips cost the same), but the twisted-shift-symmetric
+        # subspace holds one level of each pair: its levels are -2 and +2.
+        state = dense.ground_state_even(IsingParams(4, field_b=0.0, coupling_j=1.0))
         val = dense.expectation(state, dense.observable_m_dense(4))
-        assert val == pytest.approx(ising.expected_m(0.0, 4), abs=1e-8)
+        assert val == pytest.approx(ising.expected_m(0.0, 4), abs=1e-12)
 
     def test_critical_mode_occupation(self):
         state = dense.ground_state_even(IsingParams(4, field_b=1.0, coupling_j=1.0))
@@ -97,17 +101,31 @@ class TestGroundStateEven:
         state = dense.ground_state_even(IsingParams(8, field_b=0.7, coupling_j=1.0))
         parity = np.diag(dense.parity_diag(8)).astype(complex)
         assert dense.expectation(state, parity) == pytest.approx(1.0, abs=1e-12)
-        pivot = np.argmax(np.abs(state))
-        assert state[pivot].imag == pytest.approx(0.0, abs=1e-14)
-        assert state[pivot].real > 0
+        assert state.dtype == np.float64
+        assert state[np.argmax(np.abs(state))] > 0
 
     def test_degeneracy_flagged(self):
-        # At B = 0 and N = 2 the even sector is exactly twofold degenerate.
-        with pytest.raises(RuntimeError, match="degenerate"):
-            dense.ground_state_even(IsingParams(2, field_b=0.0, coupling_j=1.0))
         # At B = J = 0 every level is degenerate and g = B/J is undefined.
-        with pytest.raises(RuntimeError, match="degenerate within 1e-10 at B=0.0, J=0.0"):
-            dense.even_ground(IsingParams(2, field_b=0.0, coupling_j=0.0))
+        with pytest.raises(RuntimeError,
+                           match=r"degenerate within 1e-10\*max\(1, \|E0\|\) at B=0.0, J=0.0"):
+            dense.even_ground(IsingParams(4, field_b=0.0, coupling_j=0.0))
+        # At N = 2 the subspace is |00> alone, so it has no second level.
+        for coupling_j in (0.0, 1.0):
+            params = IsingParams(2, field_b=0.0, coupling_j=coupling_j)
+            energy, state, qfi = dense.even_ground(params)
+            assert (energy, qfi) == (0.0, 0.0) and np.array_equal(state, np.eye(4)[0])
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+    def test_equals_whole_even_sector_ground(self, n_spins, g):
+        # The independent leg: at these g the symmetric subspace's lowest level
+        # is the whole even sector's, solved here without the twisted shift.
+        params = IsingParams(n_spins, field_b=g, coupling_j=1.0)
+        energy, state, _ = dense.even_ground(params)
+        assert energy == pytest.approx(sector_energies(params, +1)[0], abs=1e-12)
+        keep = np.flatnonzero(dense.parity_diag(n_spins) > 0)
+        ground = np.linalg.eigh(dense.build_hamiltonian(params)[np.ix_(keep, keep)])[1][:, 0]
+        assert abs(state[keep] @ ground) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestObservables:
@@ -346,9 +364,9 @@ class TestQFI:
         assert dg2 * qfi == pytest.approx(1.0, abs=1e-6)
 
     def test_eigh_sizes_per_oracle_point(self, monkeypatch, tmp_path):
-        # per (N, g): one even-sector solve (8 or 128 states) for the ground
-        # branch and its QFI, then one solve of the bond sum in trotter_evolve's
-        # symmetric subspace (2 or 16 states)
+        # per (N, g): one solve in the twisted-shift-symmetric subspace (2 or
+        # 16 states) for the ground branch and its QFI, then one there of the
+        # bond sum for trotter_evolve
         sizes = []
         solve = np.linalg.eigh
 
@@ -359,4 +377,4 @@ class TestQFI:
         monkeypatch.setattr(np.linalg, "eigh", recording)
         assert cli.main(["oracle", "--n", "4,8", "--g", "0.7,1.0", "--l-steps", "64",
                          "--out", str(tmp_path / "oracle.json")]) == 0
-        assert sizes == [8, 2, 8, 2, 128, 16, 128, 16]
+        assert sizes == [2, 2, 2, 2, 16, 16, 16, 16]

@@ -245,6 +245,12 @@ class TestEstimateCounts:
             estimate_counts([1], 2, 16, window=(1.5, 0.5))
 
 
+def mode_one_qfi(g: float, n_spins: int) -> float:
+    """F_1 = sin^2(xi_1)/r_1^4, the k=1 term of ``ising.qfi``."""
+    xi = ising.mode_xi(n_spins, 1)
+    return math.sin(xi) ** 2 / ising._radicand(g, xi) ** 2
+
+
 class TestBounds:
     def test_cramer_rao_arithmetic(self):
         assert cramer_rao(4.0) == 0.25
@@ -260,6 +266,17 @@ class TestBounds:
         dg2 = precision_b(1.0, 4)
         assert bound <= dg2 * (1.0 + 1e-9)
         assert bound == pytest.approx(dg2, rel=1e-6)  # saturated at the single pair
+
+    @pytest.mark.parametrize("g,n_spins", [(1.0, 8), (1.0, 64), (0.9, 64), (1.1, 1024)])
+    def test_mode_one_readout_is_its_own_cramer_rao_bound(self, g, n_spins):
+        # precision_b is 1/F_1, with F_1 = sin^2(xi_1)/r_1^4 the k=1 term of the QFI
+        assert precision_b(g, n_spins, 1) * mode_one_qfi(g, n_spins) == pytest.approx(
+            1.0, abs=1e-15)
+
+    def test_mode_one_share_of_the_qfi(self):
+        # F/F_1 = sum_j sin^2(xi_j)/sin^2(xi_1) (r_1/r_j)^4 tends to sum 1/j^2 = pi^2/6 at g = 1
+        ratio = ising.qfi(1.0, 8192) / mode_one_qfi(1.0, 8192)
+        assert ratio == pytest.approx(math.pi**2 / 6.0, abs=1e-3)
 
     def test_sequential_reference(self):
         both = sequential_reference(1.0, shots=1)
