@@ -31,7 +31,7 @@ def main():
           f"k-controlled X to O(k) elementary gates")
 
     full = circuit.full_program(params, schedule)
-    text = circuit.dump_program(full)
+    text = circuit.dump_program(full, params, schedule)
     print(f"\nfull program: {len(full)} gates over {schedule.steps + 1} steps; "
           f"its dump is {len(text.splitlines())} lines, the first a metadata header")
 

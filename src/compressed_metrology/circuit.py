@@ -5,7 +5,9 @@ qubit m+1.  Qubit 0 is the most significant bit of the basis index, so the
 first m+1 qubits enumerate the 2N Majorana labels directly and the shift
 gate ladder increments that integer label; the probe is the least
 significant bit of the label, which is what ties Y on the probe to the
-vacuum covariance (1_N (x) Y = -i S).
+vacuum covariance (1_N (x) Y = -i S).  A register is a plain complex array
+of its 2^(m+2) amplitudes, and a program a tuple of ``Gate``s in
+application order.
 
 The circuit applies R^T(B, J) to |Phi>|+>_a, where |Phi> carries amplitude
 e^{i 2 pi j / N} i^s / sqrt(2N) on register label 2j + s: a product state
@@ -15,21 +17,22 @@ R^T = step(0)^T ... step(L)^T, the runner applies Trotter steps in
 descending l; each step is [A^dag ladder, S1 via the auxiliary, A ladder,
 RY on the probe].  Measuring Y on the probe then gives <B> = (1 - <Y_m>)/2.
 
-The runner does not interpret gates step by step; it compiles the step once
-per register size.  RXX(a) = cos a 1 - i sin a X(x)X, so the ladder-wrapped
-S1 block is cos a 1 + sin a P_S with P_S the step program at a = pi/2, and
-RY(theta) = cos(theta/2) 1 + sin(theta/2) P_Y with P_Y = RY(pi) on the
-probe.  Both P's are monomial (one unit-modulus entry per row); their index
-maps and phases come from running ``trotter_step_gates`` through the
-interpreter, so the runner executes exactly the program ``full_program``
-dumps.  ``apply_gate``/``apply_program`` remain the interpreter for dumped
-programs and the oracle the compiled runner is tested against.
+Every gate kind has one representation, gate = c 1 + s P with P monomial,
+(P psi)[i] = phase[i] psi[src[i]]: X, CX and HT = (X + Y)/sqrt(2) have
+c = 0, RY(theta) = cos(theta/2) 1 + sin(theta/2) RY(pi) and
+RXX(a) = cos a 1 + sin a (-i X(x)X).  ``apply_gate`` applies that sum.  The
+runner composes the P's of one ``trotter_step_gates`` program once per
+register size: the gates before the RY give the ladder-wrapped S1 block
+cos a 1 + sin a P_S (HT^2 = 1 and A A^dag = 1 leave the identity term
+alone), and the RY gives P_Y, so it executes exactly the program
+``full_program`` dumps.  ``apply_gate``/``apply_program`` remain the
+interpreter for dumped programs and the oracle the runner is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,10 +43,6 @@ from .ising import IsingParams
 GATE_KINDS = ("X", "HT", "RY", "RXX", "CX")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-# HT = (X + Y)/sqrt(2), the involution with HT X HT = Y.
-_HT_MATRIX = np.array(
-    [[0.0, (1.0 - 1.0j) * _SQRT_HALF], [(1.0 + 1.0j) * _SQRT_HALF, 0.0]], dtype=complex
-)
 
 _MAX_DUMP_GATES = 5_000_000
 
@@ -72,43 +71,7 @@ class Gate:
             raise ValueError(f"{self.kind} takes no controls")
 
 
-@dataclass(frozen=True)
-class ProgramMeta:
-    n_spins: int
-    field_b: float
-    coupling_j: float
-    total_time: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class GateProgram:
-    gates: tuple[Gate, ...]
-    meta: ProgramMeta | None = None
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-
-@dataclass
-class CompressedRegister:
-    """State vector over m+2 qubits; amplitudes indexed with qubit 0 as MSB."""
-
-    m: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.m + 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def view(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.n_qubits)
-
-
-def initial_state(m: int) -> CompressedRegister:
+def initial_state(m: int) -> np.ndarray:
     """|Phi> x |+>_aux: data qubit l at phase pi/2^l, probe |+_y>, aux |+>."""
     if m < 1:
         raise ValueError("need m >= 1")
@@ -117,67 +80,43 @@ def initial_state(m: int) -> CompressedRegister:
         qubit = np.array([1.0, np.exp(1j * math.pi / 2**l)]) * _SQRT_HALF
         amps = np.kron(amps, qubit)
     amps = np.kron(amps, np.array([1.0, 1.0j]) * _SQRT_HALF)  # probe |+_y>
-    amps = np.kron(amps, np.array([1.0, 1.0]) * _SQRT_HALF)   # auxiliary |+>
-    return CompressedRegister(m=m, amplitudes=amps)
+    return np.kron(amps, np.array([1.0, 1.0]) * _SQRT_HALF)   # auxiliary |+>
 
 
 # ---------------------------------------------------------------------------
-# Gate application (in place on the reshaped view)
+# Gate application: gate = c 1 + s P
 # ---------------------------------------------------------------------------
 
-def _slices(n_qubits: int, fixed: dict[int, int]) -> tuple:
-    out: list = [slice(None)] * n_qubits
-    for q, v in fixed.items():
-        out[q] = v
-    return tuple(out)
-
-
-def _apply_single(view: np.ndarray, mat: np.ndarray, q: int, n: int) -> None:
-    lo = view[_slices(n, {q: 0})].copy()
-    hi = view[_slices(n, {q: 1})]
-    view[_slices(n, {q: 0})] = mat[0, 0] * lo + mat[0, 1] * hi
-    view[_slices(n, {q: 1})] = mat[1, 0] * lo + mat[1, 1] * hi
-
-
-def apply_gate(reg: CompressedRegister, gate: Gate) -> None:
-    n = reg.n_qubits
-    if any(not 0 <= q < n for q in gate.qubits + gate.controls):
-        raise IndexError(f"gate {gate} outside register of {n} qubits")
-    view = reg.view()
-    if gate.kind == "X":
-        q = gate.qubits[0]
-        lo = view[_slices(n, {q: 0})].copy()
-        view[_slices(n, {q: 0})] = view[_slices(n, {q: 1})]
-        view[_slices(n, {q: 1})] = lo
-    elif gate.kind == "CX":
-        fixed = {c: 1 for c in gate.controls}
-        q = gate.qubits[0]
-        lo = view[_slices(n, fixed | {q: 0})].copy()
-        view[_slices(n, fixed | {q: 0})] = view[_slices(n, fixed | {q: 1})]
-        view[_slices(n, fixed | {q: 1})] = lo
-    elif gate.kind == "HT":
-        _apply_single(view, _HT_MATRIX, gate.qubits[0], n)
-    elif gate.kind == "RY":
+def _terms(gate: Gate, n_qubits: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(c, s, src, phase) with ``gate`` = c 1 + s P and (P psi)[i] = phase[i] psi[src[i]]."""
+    if any(not 0 <= q < n_qubits for q in gate.qubits + gate.controls):
+        raise IndexError(f"gate {gate} outside register of {n_qubits} qubits")
+    idx = np.arange(1 << n_qubits)
+    flip = sum(1 << (n_qubits - 1 - q) for q in gate.qubits)
+    src = idx ^ flip
+    high = (idx & flip) != 0  # the target bit of a one-qubit gate
+    if gate.kind == "HT":  # (X + Y)/sqrt(2): 1 - i into |0>, 1 + i into |1>
+        return 0.0, _SQRT_HALF, src, np.where(high, 1.0 + 1.0j, 1.0 - 1.0j)
+    if gate.kind == "RY":  # RY(pi) = -iY: -1 into |0>, +1 into |1>
         half = 0.5 * gate.angle
-        mat = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]],
-                       dtype=complex)
-        _apply_single(view, mat, gate.qubits[0], n)
-    else:  # RXX: exp(-i angle X(x)X) mixes |00>~|11> and |01>~|10>
-        q1, q2 = gate.qubits
-        c, s = math.cos(gate.angle), -1j * math.sin(gate.angle)
-        v00 = view[_slices(n, {q1: 0, q2: 0})].copy()
-        v01 = view[_slices(n, {q1: 0, q2: 1})].copy()
-        v10 = view[_slices(n, {q1: 1, q2: 0})].copy()
-        v11 = view[_slices(n, {q1: 1, q2: 1})]
-        view[_slices(n, {q1: 0, q2: 0})] = c * v00 + s * v11
-        view[_slices(n, {q1: 1, q2: 1})] = c * v11 + s * v00
-        view[_slices(n, {q1: 0, q2: 1})] = c * v01 + s * v10
-        view[_slices(n, {q1: 1, q2: 0})] = c * v10 + s * v01
+        return math.cos(half), math.sin(half), src, np.where(high, 1.0 + 0j, -1.0 + 0j)
+    if gate.kind == "RXX":
+        return math.cos(gate.angle), math.sin(gate.angle), src, np.full(idx.size, -1.0j)
+    if gate.kind == "CX":
+        mask = sum(1 << (n_qubits - 1 - q) for q in gate.controls)
+        src = np.where((idx & mask) == mask, src, idx)
+    return 0.0, 1.0, src, np.ones(idx.size, dtype=complex)
 
 
-def apply_program(reg: CompressedRegister, program: GateProgram) -> None:
-    for gate in program.gates:
-        apply_gate(reg, gate)
+def apply_gate(amps: np.ndarray, gate: Gate) -> None:
+    """Apply ``gate`` in place to a register's amplitudes."""
+    c, s, src, phase = _terms(gate, amps.size.bit_length() - 1)
+    amps[:] = c * amps + s * (phase * amps[src])
+
+
+def apply_program(amps: np.ndarray, gates: tuple[Gate, ...]) -> None:
+    for gate in gates:
+        apply_gate(amps, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -185,36 +124,30 @@ def apply_program(reg: CompressedRegister, program: GateProgram) -> None:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def decompose_shift(m: int) -> GateProgram:
+def decompose_shift(m: int) -> tuple[Gate, ...]:
     """Increment |j> -> |j+1 mod 2N> on qubits 0..m via m+1 controlled gates.
 
     Listed in application order: the most significant qubit flips first
     (conditioned on all lower bits being 1), the bare X on qubit m flips last.
+    Every gate is an involution, so the reversed list is A^dag.
     """
     if m < 1:
         raise ValueError("need m >= 1")
     gates = [Gate("CX", (l,), controls=tuple(range(l + 1, m + 1))) for l in range(m)]
-    gates.append(Gate("X", (m,)))
-    return GateProgram(gates=tuple(gates))
+    return (*gates, Gate("X", (m,)))
 
 
-def _inverse_shift(m: int) -> tuple[Gate, ...]:
-    # Every shift gate is an involution, so A^dag is the reversed list.
-    return tuple(reversed(decompose_shift(m).gates))
-
-
-def s1_aux_gates(angle: float, m: int) -> GateProgram:
+def s1_aux_gates(angle: float, m: int) -> tuple[Gate, ...]:
     """HT . RXX(angle) . HT on (probe, aux): acts as exp(-i angle Y) on the probe
     whenever the auxiliary is in |+>, which the protocol maintains."""
-    gates = (
+    return (
         Gate("HT", (m,)),
         Gate("RXX", (m, m + 1), angle=angle),
         Gate("HT", (m,)),
     )
-    return GateProgram(gates=gates)
 
 
-def trotter_step_gates(interaction: float, field: float, m: int) -> GateProgram:
+def trotter_step_gates(interaction: float, field: float, m: int) -> tuple[Gate, ...]:
     """One step of the R^T circuit, R1^T then R0^T, from its two gate angles.
 
     R1^T = A (1 (x) S1) A^dag, hence the inverse ladder, the auxiliary-assisted
@@ -222,16 +155,11 @@ def trotter_step_gates(interaction: float, field: float, m: int) -> GateProgram:
     1 (x) exp(-i 2 B Delta Y) is the trailing RY(``field``) on the probe, with
     ``field`` = 4 B Delta.
     """
-    gates = (
-        _inverse_shift(m)
-        + s1_aux_gates(interaction, m).gates
-        + decompose_shift(m).gates
-        + (Gate("RY", (m,), angle=field),)
-    )
-    return GateProgram(gates=gates)
+    shift = decompose_shift(m)
+    return shift[::-1] + s1_aux_gates(interaction, m) + shift + (Gate("RY", (m,), angle=field),)
 
 
-def full_program(params: IsingParams, schedule: TrotterSchedule) -> GateProgram:
+def full_program(params: IsingParams, schedule: TrotterSchedule) -> tuple[Gate, ...]:
     """All L+1 Trotter steps of R^T in application order (descending l)."""
     m = params.n_spins.bit_length() - 1
     total = (schedule.steps + 1) * (2 * (m + 1) + 4)
@@ -240,51 +168,45 @@ def full_program(params: IsingParams, schedule: TrotterSchedule) -> GateProgram:
     field = 4.0 * params.field_b * schedule.delta
     gates: list[Gate] = []
     for interaction in (params.coupling_j * schedule.taus()[::-1]).tolist():
-        gates.extend(trotter_step_gates(interaction, field, m).gates)
-    meta = ProgramMeta(params.n_spins, params.field_b, params.coupling_j,
-                       schedule.total_time, schedule.steps)
-    return GateProgram(gates=tuple(gates), meta=meta)
+        gates.extend(trotter_step_gates(interaction, field, m))
+    return tuple(gates)
 
 
 # ---------------------------------------------------------------------------
 # Runner and measurement
 # ---------------------------------------------------------------------------
 
-def _monomial(program: GateProgram, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(src, phase) with (U psi)[i] = phase[i] * psi[src[i]] for a monomial program U.
+def _compose(gates: tuple[Gate, ...], n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase) of the unitary monomial map the gates' P's compose to, in application order.
 
-    U moves each amplitude to one image with a unit-modulus factor, so an
-    input with the distinct magnitudes dim..2 dim - 1 labels every image by
-    where it came from.  Raises if the program is not monomial.
+    P2 after P1 is (src1[src2], phase2 * phase1[src2]).  Each P is a unitary
+    times its uniform modulus (sqrt(2) for HT's Gaussian-integer phases, 1
+    otherwise); those products carry no rounding, so dividing out the
+    composed modulus leaves the unitary map exactly.
     """
-    dim = 1 << (m + 2)
-    reg = CompressedRegister(m=m, amplitudes=np.arange(dim, 2 * dim, dtype=complex))
-    apply_program(reg, program)
-    magnitude = np.abs(reg.amplitudes)
-    src = np.rint(magnitude).astype(np.int64) - dim
-    if set(src.tolist()) != set(range(dim)) or np.abs(magnitude - src - dim).max() > 1e-6:
-        raise ValueError("program is not a monomial map")
-    phase = reg.amplitudes / (src + dim)
+    src = np.arange(1 << n_qubits)
+    phase = np.ones(src.size, dtype=complex)
+    for gate in gates:
+        _, _, src_g, phase_g = _terms(gate, n_qubits)
+        src, phase = src[src_g], phase_g * phase[src_g]
     return src, phase / np.abs(phase)
 
 
 @lru_cache(maxsize=None)
 def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps and phases of P_S and P_Y, derived from ``trotter_step_gates``.
+    """Index maps and phases of P_S and P_Y, composed from ``trotter_step_gates``.
 
-    The angles (pi/2, 0) give the ladder-wrapped S1 block at a = pi/2 (RY(0)
-    is the identity), and (0, pi) give RY(pi) (RXX(0) and the ladder pair
-    cancel).
+    P_S comes from every gate before the trailing RY, P_Y from the RY; the
+    step's angles do not enter the P's.
     """
-    src_s, phase_s = _monomial(trotter_step_gates(math.pi / 2.0, 0.0, m), m)
-    src_y, phase_y = _monomial(trotter_step_gates(0.0, math.pi, m), m)
-    maps = (src_s, phase_s, src_y, phase_y)
+    *block, field = trotter_step_gates(0.0, 0.0, m)
+    maps = _compose(tuple(block), m + 2) + _compose((field,), m + 2)
     for arr in maps:
         arr.flags.writeable = False
     return maps
 
 
-def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> CompressedRegister:
+def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """Apply R^T(B, J) to |Phi>|+>_a, one compiled Trotter step at a time.
 
     Step l is U(l) = (cy 1 + sy P_Y)(c 1 + s P_S) with (c, s) the cos/sin
@@ -304,24 +226,20 @@ def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> CompressedReg
     angles = params.coupling_j * schedule.taus()
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     weights = np.stack([cos_a, cos_a, sin_a, sin_a], axis=1).astype(complex)
-    psi = initial_state(m).amplitudes
+    psi = initial_state(m)
     for weight in weights[::-1]:
         psi = weight @ (phases * psi[index])
-    reg = CompressedRegister(m=m, amplitudes=psi)
-    drift = abs(reg.norm() - 1.0)
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > 1e-9:
         raise AssertionError(f"norm drifted by {drift:.3e} during the run")
-    return reg
+    return psi
 
 
-def measure_ym(reg: CompressedRegister) -> float:
-    """<Y> on the probe qubit m."""
-    view = reg.view()
-    n = reg.n_qubits
-    lo = view[_slices(n, {reg.m: 0})]
-    hi = view[_slices(n, {reg.m: 1})]
+def measure_ym(amps: np.ndarray) -> float:
+    """<Y> on the probe qubit m; the amplitudes' axes are (data, probe, aux)."""
+    view = amps.reshape(-1, 2, 2)
     # <Y> = <psi| (-i|0><1| + i|1><0|) |psi> on the probe axis.
-    return float((2.0 * np.imag(np.sum(lo.conj() * hi))))
+    return float(2.0 * np.imag(np.sum(view[:, 0].conj() * view[:, 1])))
 
 
 def _p_plus(y: float, shots: int) -> float:
@@ -366,16 +284,17 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def dump_program(program: GateProgram) -> str:
-    """One gate per line; a metadata header when the program carries one."""
+def dump_program(gates: tuple[Gate, ...], params: IsingParams | None = None,
+                 schedule: TrotterSchedule | None = None) -> str:
+    """One gate per line, under a ``# N= B= J= T= L=`` header when ``params`` and
+    ``schedule`` are given."""
     lines: list[str] = []
-    if program.meta is not None:
-        meta = program.meta
+    if params is not None:
         lines.append(
-            f"# N={meta.n_spins} B={_fmt(meta.field_b)} J={_fmt(meta.coupling_j)}"
-            f" T={_fmt(meta.total_time)} L={meta.steps}"
+            f"# N={params.n_spins} B={_fmt(params.field_b)} J={_fmt(params.coupling_j)}"
+            f" T={_fmt(schedule.total_time)} L={schedule.steps}"
         )
-    for gate in program.gates:
+    for gate in gates:
         if gate.kind in ("X", "HT"):
             lines.append(f"{gate.kind} {gate.qubits[0]}")
         elif gate.kind == "RY":
@@ -388,7 +307,7 @@ def dump_program(program: GateProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lowered_gate_count(program: GateProgram) -> int:
+def lowered_gate_count(gates: tuple[Gate, ...]) -> int:
     """Elementary-gate estimate with multi-controlled X lowered linearly.
 
     A k-controlled X costs O(k) elementary gates given one borrowable qubit;
@@ -396,7 +315,7 @@ def lowered_gate_count(program: GateProgram) -> int:
     on m+1 qubits totals O(m^2).  Reporting only; simulation never lowers.
     """
     total = 0
-    for gate in program.gates:
+    for gate in gates:
         k = len(gate.controls)
         total += 2 * k - 1 if k >= 2 else 1
     return total

@@ -291,7 +291,8 @@ def cmd_scaling(cfg: dict) -> dict:
     """Scaling fits plus the acceptance windows."""
     g, shots = _one(cfg, "g", "scaling"), cfg["shots"]
     _check_ratios([g])
-    n_list_b, n_list_m = cfg["n"] or [2**k for k in range(3, 11)], cfg["n_magnetization"]
+    n_list_b = [2**k for k in range(3, 11)] if cfg["n"] is None else cfg["n"]
+    n_list_m = cfg["n_magnetization"]
     for flag, sizes in (("--n", n_list_b), ("--n-magnetization", n_list_m)):
         _check_sizes(sizes, curves=True, chain=False, flag=flag)
         if len(sizes) < 2 or len(set(sizes)) != len(sizes):
@@ -469,11 +470,11 @@ def cmd_dump(cfg: dict) -> str:
         "config": cfg,
         "n_gates": len(program),
         "steps": schedule.steps + 1,
-        "controlled_gates_per_shift": len(shift.gates),
+        "controlled_gates_per_shift": len(shift),
         "lowered_gates_per_shift": circuit.lowered_gate_count(shift),
     }
     print(json.dumps(summary), file=sys.stderr)
-    return circuit.dump_program(program)
+    return circuit.dump_program(program, params, schedule)
 
 
 # ---------------------------------------------------------------------------

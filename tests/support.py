@@ -1,9 +1,10 @@
 """Test-side helpers the package itself does not use.
 
-``parse_program`` reads a ``circuit.dump_program`` text back into its gate
-program (the dump's round trip); ``program_permutation`` and
-``program_unitary`` give the exact basis map and the dense matrix of a gate
-program, through the gate interpreter;
+``parse_program`` reads a ``circuit.dump_program`` text back into its gates
+and the header's parameters and schedule (the dump's round trip);
+``program_permutation`` and ``program_unitary`` give the exact basis map and
+the dense matrix of a gate tuple, the latter through the gate interpreter on
+plain amplitude arrays;
 ``ratio_g`` is g = B/J of a parameter set; ``bogoliubov_angle`` and
 ``mode_energy`` are one fermion mode's closed-form angle and quasiparticle
 energy, and ``mode_data`` bundles them;
@@ -47,13 +48,7 @@ import numpy as np
 
 from compressed_metrology import dense, ising
 from compressed_metrology.adiabatic import TrotterSchedule
-from compressed_metrology.circuit import (
-    CompressedRegister,
-    Gate,
-    GateProgram,
-    ProgramMeta,
-    apply_program,
-)
+from compressed_metrology.circuit import Gate, apply_program
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.matchgate import _check_even_square
 
@@ -74,10 +69,12 @@ _META_RE = re.compile(
 )
 
 
-def parse_program(text: str) -> GateProgram:
-    """The gate program of a ``circuit.dump_program`` text, its metadata header included."""
+def parse_program(
+    text: str,
+) -> tuple[tuple[Gate, ...], IsingParams | None, TrotterSchedule | None]:
+    """(gates, params, schedule) of a ``circuit.dump_program`` text; None without a header."""
     gates: list[Gate] = []
-    meta: ProgramMeta | None = None
+    params = schedule = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -85,8 +82,8 @@ def parse_program(text: str) -> GateProgram:
         if line.startswith("#"):
             match = _META_RE.match(line)
             if match:
-                meta = ProgramMeta(int(match[1]), float(match[2]), float(match[3]),
-                                   float(match[4]), int(match[5]))
+                params = IsingParams(int(match[1]), float(match[2]), float(match[3]))
+                schedule = TrotterSchedule(float(match[4]), int(match[5]))
             continue
         match = _GATE_RE.match(line)
         if not match:
@@ -100,13 +97,13 @@ def parse_program(text: str) -> GateProgram:
         else:
             controls = tuple(int(c) for c in match[11].split(","))
             gates.append(Gate("CX", (int(match[12]),), controls=controls))
-    return GateProgram(gates=tuple(gates), meta=meta)
+    return tuple(gates), params, schedule
 
 
-def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:
+def program_permutation(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
     """Exact basis permutation of an X/CX-only program: index -> image."""
     img = np.arange(1 << n_qubits, dtype=np.int64)
-    for gate in program.gates:
+    for gate in gates:
         if gate.kind not in ("X", "CX"):
             raise ValueError(f"{gate.kind} is not a permutation gate")
         bit = 1 << (n_qubits - 1 - gate.qubits[0])
@@ -121,15 +118,11 @@ def program_permutation(program: GateProgram, n_qubits: int) -> np.ndarray:
     return img
 
 
-def program_unitary(program: GateProgram, n_qubits: int) -> np.ndarray:
+def program_unitary(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
     """Dense matrix of a program (small registers only)."""
-    dim = 1 << n_qubits
-    mat = np.empty((dim, dim), dtype=complex)
-    for col in range(dim):
-        reg = CompressedRegister(m=n_qubits - 2, amplitudes=np.zeros(dim, dtype=complex))
-        reg.amplitudes[col] = 1.0
-        apply_program(reg, program)
-        mat[:, col] = reg.amplitudes
+    mat = np.eye(1 << n_qubits, dtype=complex)
+    for col in mat.T:
+        apply_program(col, gates)
     return mat
 
 

@@ -227,7 +227,7 @@ def test_criterion_7_structural_exactness(capsys):
         img = program_permutation(program, m + 1)
         dim = 1 << (m + 1)
         shift_exact &= np.array_equal(img, (np.arange(dim) + 1) % dim)
-        shift_exact &= len(program.gates) == m + 1
+        shift_exact &= len(program) == m + 1
         cycle = np.arange(dim)
         for _ in range(dim):
             cycle = img[cycle]

@@ -10,10 +10,7 @@ from scipy.linalg import expm
 from compressed_metrology import adiabatic, circuit, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.circuit import (
-    CompressedRegister,
     Gate,
-    GateProgram,
-    ProgramMeta,
     decompose_shift,
     dump_program,
     expectation_b_gate,
@@ -28,6 +25,7 @@ from compressed_metrology.ising import IsingParams
 from rotation_oracle import r0_rotation, r1_rotation, shift_matrix
 from support import parse_program, program_permutation, program_unitary, tau
 
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
@@ -62,6 +60,59 @@ class TestGateValidation:
             circuit.apply_gate(reg, Gate("X", (5,)))
 
 
+def kron_register(ops):
+    """The 4-qubit operator with 2x2 matrix ops[q] on qubit q (qubit 0 the MSB), 1 elsewhere."""
+    out = np.eye(1)
+    for q in range(4):
+        out = np.kron(out, ops.get(q, np.eye(2)))
+    return out
+
+
+class TestGateMatrices:
+    """``apply_gate`` on a 4-qubit register against each kind's dense matrix."""
+
+    PROJ_1 = np.diag([0.0, 1.0])
+    HT = (PAULI_X + PAULI_Y) / np.sqrt(2.0)
+
+    @staticmethod
+    def applied(gate):
+        return program_unitary((gate,), 4)
+
+    def test_x(self, rng):
+        for q in rng.permutation(4).tolist():
+            assert np.abs(self.applied(Gate("X", (q,))) - kron_register({q: PAULI_X})).max() < 1e-14
+
+    @pytest.mark.parametrize("n_controls", [1, 2])
+    def test_cx(self, rng, n_controls):
+        for _ in range(4):
+            target, *controls = (int(q) for q in rng.permutation(4)[:1 + n_controls])
+            hot = {c: self.PROJ_1 for c in controls}
+            expected = (np.eye(16) - kron_register(hot)
+                        + kron_register(hot | {target: PAULI_X}))
+            got = self.applied(Gate("CX", (target,), controls=tuple(controls)))
+            assert np.abs(got - expected).max() < 1e-14
+
+    def test_ht(self, rng):
+        assert np.abs(self.HT @ self.HT - np.eye(2)).max() < 1e-15
+        for q in rng.permutation(4).tolist():
+            assert np.abs(self.applied(Gate("HT", (q,))) - kron_register({q: self.HT})).max() < 1e-14
+
+    def test_ry(self, rng):
+        for q in rng.permutation(4).tolist():
+            theta = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
+            expected = kron_register({q: expm(-0.5j * theta * PAULI_Y)})
+            got = self.applied(Gate("RY", (q,), angle=theta))
+            assert np.abs(got - expected).max() < 1e-14
+
+    def test_rxx(self, rng):
+        for _ in range(6):
+            q1, q2 = (int(q) for q in rng.permutation(4)[:2])
+            angle = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
+            expected = expm(-1j * angle * kron_register({q1: PAULI_X, q2: PAULI_X}))
+            got = self.applied(Gate("RXX", (q1, q2), angle=angle))
+            assert np.abs(got - expected).max() < 1e-14
+
+
 class TestInitialState:
     def test_m1_product_structure(self):
         reg = initial_state(1)
@@ -69,8 +120,8 @@ class TestInitialState:
         plus_y = np.array([1.0, 1.0j]) / np.sqrt(2.0)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         expected = np.kron(np.kron(minus, plus_y), plus)
-        assert np.abs(reg.amplitudes - expected).max() < 1e-15
-        assert reg.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(reg - expected).max() < 1e-15
+        assert np.linalg.norm(reg) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_fourier_amplitudes(self, m):
@@ -80,7 +131,7 @@ class TestInitialState:
         n = 2**m
         reg = initial_state(m)
         norm = np.sqrt(2.0 * n) * np.sqrt(2.0)
-        for idx, amp in enumerate(reg.amplitudes):
+        for idx, amp in enumerate(reg):
             j = idx >> 2
             s = (idx >> 1) & 1
             expected = np.exp(2j * np.pi * j / n) * (1j**s) / norm
@@ -93,7 +144,7 @@ class TestInitialState:
 
 class TestDecomposeShift:
     def test_m1_gate_list(self):
-        gates = decompose_shift(1).gates
+        gates = decompose_shift(1)
         assert gates == (Gate("CX", (0,), controls=(1,)), Gate("X", (1,)))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -148,19 +199,19 @@ class TestS1AuxGates:
         # J tau = pi/2 realizes -iY on the probe
         m = 1
         prog = s1_aux_gates(np.pi / 2.0, m)
-        reg = CompressedRegister(m=m, amplitudes=np.zeros(8, dtype=complex))
-        reg.amplitudes[[0, 1]] = 1.0 / np.sqrt(2.0)  # |0>|0>|+>
-        circuit.apply_program(reg, prog)
+        amps = np.zeros(8, dtype=complex)
+        amps[[0, 1]] = 1.0 / np.sqrt(2.0)  # |0>|0>|+>
+        circuit.apply_program(amps, prog)
         expected = np.zeros(8, dtype=complex)
         expected[[2, 3]] = 1.0 / np.sqrt(2.0)  # -iY|0> = |1>
-        assert np.abs(reg.amplitudes - expected).max() < 1e-12
+        assert np.abs(amps - expected).max() < 1e-12
 
     def test_aux_left_unentangled(self):
         m = 2
         reg = initial_state(m)
         circuit.apply_program(reg, s1_aux_gates(0.7, m))
-        view = reg.view()
-        plus_component = (view[..., 0] + view[..., 1]) / np.sqrt(2.0)
+        view = reg.reshape(-1, 2)
+        plus_component = (view[:, 0] + view[:, 1]) / np.sqrt(2.0)
         assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-12
 
 
@@ -194,13 +245,13 @@ class TestRunner:
     def test_trivial_run_preserves_input(self):
         params = IsingParams(4, field_b=0.0, coupling_j=1.3)
         reg = run_circuit(params, TrotterSchedule(total_time=1.0, steps=0))
-        assert np.abs(reg.amplitudes - initial_state(2).amplitudes).max() < 1e-12
+        assert np.abs(reg - initial_state(2)).max() < 1e-12
 
     def test_norm_drift_over_many_gates(self):
         params = IsingParams(4, field_b=1.0, coupling_j=1.0)
         sch = TrotterSchedule(total_time=20.0, steps=1200)  # > 1e4 gates
         reg = run_circuit(params, sch)
-        assert abs(reg.norm() - 1.0) < 1e-9
+        assert abs(np.linalg.norm(reg) - 1.0) < 1e-9
 
     def test_aux_plus_after_every_step(self):
         params = IsingParams(8, field_b=0.9, coupling_j=1.1)
@@ -208,8 +259,8 @@ class TestRunner:
         reg = initial_state(3)
         for l in range(sch.steps, -1, -1):
             circuit.apply_program(reg, step_gates(params, sch, l, 3))
-            view = reg.view()
-            plus_component = (view[..., 0] + view[..., 1]) / np.sqrt(2.0)
+            view = reg.reshape(-1, 2)
+            plus_component = (view[:, 0] + view[:, 1]) / np.sqrt(2.0)
             assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-10
 
 
@@ -222,7 +273,7 @@ class TestCompiledRunner:
         reg = initial_state(m)
         for l in range(sch.steps, -1, -1):
             circuit.apply_program(reg, step_gates(params, sch, l, m))
-        return reg.amplitudes
+        return reg
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -235,7 +286,7 @@ class TestCompiledRunner:
     def test_matches_interpreter(self, n_spins, b_field, coupling, total_time, steps):
         params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
         sch = TrotterSchedule(total_time=total_time, steps=steps)
-        compiled = run_circuit(params, sch).amplitudes
+        compiled = run_circuit(params, sch)
         assert np.abs(compiled - self.interpreted(params, sch)).max() <= 1e-12
 
     def test_gate_constructions_do_not_grow_with_steps(self, monkeypatch):
@@ -257,6 +308,21 @@ class TestCompiledRunner:
             counts.append(count)
         assert counts[0] > 0  # the step is compiled from the gate constructors
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_compiled_maps_are_signed_permutations(self, m):
+        src_s, phase_s, src_y, phase_y = circuit._compiled_step(m)
+        for src, phase in ((src_s, phase_s), (src_y, phase_y)):
+            assert np.array_equal(np.sort(src), np.arange(1 << (m + 2)))
+            assert np.all((phase == 1.0) | (phase == -1.0))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_step_without_rxx_composes_to_identity(self, m):
+        # HT^2 = 1 and A A^dag = 1: the S1 block's cos term is the identity.
+        *block, _ = trotter_step_gates(0.0, 0.0, m)
+        src, phase = circuit._compose(tuple(g for g in block if g.kind != "RXX"), m + 2)
+        assert np.array_equal(src, np.arange(1 << (m + 2)))
+        assert np.all(phase == 1.0)
 
     def test_compiled_step_builds_no_schedule(self, monkeypatch):
         def refuse(schedule):
@@ -292,18 +358,14 @@ class TestMeasurement:
         assert measure_ym(initial_state(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_probe_zero(self):
-        reg = initial_state(1)
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
-        reg.amplitudes = amps
-        assert measure_ym(reg) == 0.0
+        assert measure_ym(amps) == 0.0
 
     def test_probe_minus_y(self):
-        reg = initial_state(1)
         amps = np.zeros(8, dtype=complex)
         amps[0], amps[2] = 1.0 / np.sqrt(2.0), -1.0j / np.sqrt(2.0)
-        reg.amplitudes = amps
-        assert measure_ym(reg) == pytest.approx(-1.0, abs=1e-12)
+        assert measure_ym(amps) == pytest.approx(-1.0, abs=1e-12)
 
     def test_sampling_eigenstate(self):
         samples = sample_ym(1.0, shots=500, seed=11)
@@ -378,24 +440,24 @@ class TestGatePathEquivalence:
 
 class TestDumpFormat:
     def test_single_gate_lines(self):
-        lines = dump_program(GateProgram(gates=(
+        lines = dump_program((
             Gate("X", (2,)),
             Gate("CX", (0,), controls=(1, 2)),
             Gate("RXX", (3, 4), angle=0.5),
-        ))).splitlines()
+        )).splitlines()
         assert lines == ["X 2", "CX 1,2 -> 0", "RXX(0.5) 3,4"]
 
     def test_roundtrip_byte_identical(self):
         params = IsingParams(4, field_b=1.0, coupling_j=np.pi / 3.0)
         sch = TrotterSchedule(total_time=2.0, steps=1)
         prog = circuit.full_program(params, sch)
-        text = dump_program(prog)
-        assert dump_program(parse_program(text)) == text
-        assert parse_program(text).meta == prog.meta
+        text = dump_program(prog, params, sch)
+        assert dump_program(*parse_program(text)) == text
+        assert parse_program(text) == (prog, params, sch)
 
     def test_header_metadata(self):
-        meta = ProgramMeta(4, 1.0, 0.5, 160.0, 1024)
-        text = dump_program(GateProgram(gates=(Gate("X", (0,)),), meta=meta))
+        text = dump_program((Gate("X", (0,)),), IsingParams(4, 1.0, 0.5),
+                            TrotterSchedule(160.0, 1024))
         assert text.splitlines()[0] == "# N=4 B=1 J=0.5 T=160 L=1024"
 
     def test_malformed_line(self):
@@ -403,6 +465,6 @@ class TestDumpFormat:
             parse_program("RZ(0.3) 1\n")
 
     def test_angle_precision_roundtrip(self):
-        prog = GateProgram(gates=(Gate("RY", (0,), angle=np.pi / 7.0),))
-        parsed = parse_program(dump_program(prog))
-        assert parsed.gates[0].angle == prog.gates[0].angle
+        prog = (Gate("RY", (0,), angle=np.pi / 7.0),)
+        parsed, _, _ = parse_program(dump_program(prog))
+        assert parsed[0].angle == prog[0].angle

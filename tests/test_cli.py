@@ -301,6 +301,18 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE[command], "--config", str(cfg)],
                            "config key 'n' must be a list of ints, got 4")
 
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "dump",
+                                         "oracle"])
+    @pytest.mark.parametrize("config", [None, '{"n": []}'])
+    def test_empty_n(self, tmp_path, capsys, command, config):
+        # scaling's default grid stands in only for an absent list, not an empty one.
+        argv = [*self.BASE[command], "--n", ""]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv = [*self.BASE[command], "--config", str(cfg)]
+        assert_usage_error(capsys, argv, "--n needs at least one size")
+
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "oracle"])
     def test_empty_g(self, capsys, command):
         assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--g", ""],
@@ -585,12 +597,12 @@ class TestDump:
     def test_roundtrips_and_metadata(self, tmp_path):
         _, data = run(tmp_path, "dump", "--n", "4", "--b", "1.0", "--j", "0.5",
                       "--t-total", "2.0", "--l-steps", "1")
-        program = parse_program(data.decode())
-        assert circuit.dump_program(program).encode() == data
-        assert program.meta.n_spins == 4
-        assert program.meta.steps == 1
+        gates, params, schedule = parse_program(data.decode())
+        assert circuit.dump_program(gates, params, schedule).encode() == data
+        assert params.n_spins == 4
+        assert schedule.steps == 1
         # per-step shift ladder carries m+1 = 3 controlled gates
-        kinds = [g.kind for g in program.gates]
+        kinds = [g.kind for g in gates]
         assert kinds.count("RY") == 2 and kinds.count("RXX") == 2
 
     def test_gate_cap_is_usage_error(self, capsys):
