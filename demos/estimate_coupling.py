@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """End-to-end coupling estimation on the compressed register.
 
-Pipeline: evaluate the (m+2)-qubit circuit's <B> once at the true g, from
-the one SU(2) product of its k = 1 sector (the probe state and both Trotter
-layers never leave it), draw each repetition's count of +1 outcomes among its
-Y-shots on the probe as one binomial variate, invert the calibration curve in
-closed form at every count, compare the empirical spread against the
-error-propagation prediction and the quantum Cramer-Rao bound from the dense
-oracle.
+Pipeline (``cli.estimation_run``, as ``cmetro estimate`` runs it): evaluate
+the (m+2)-qubit circuit's <B> once at the true g, from the one SU(2) product
+of its k = 1 sector (the probe state and both Trotter layers never leave it),
+draw each repetition's count of +1 outcomes among its Y-shots on the probe as
+one binomial variate, invert the calibration curve in closed form at every
+count, and compare the empirical spread against the error-propagation
+prediction; the quantum Cramer-Rao bound comes from the dense oracle.
 
 Run with: python3 demos/estimate_coupling.py   (takes under a second)
 """
 
-import numpy as np
-
-from compressed_metrology import adiabatic, circuit, dense, ising, metrology
+from compressed_metrology import adiabatic, cli, dense, ising, metrology
 
 
 def main():
@@ -23,18 +21,13 @@ def main():
 
     print(f"N = {n} spins compressed to {n.bit_length() + 1} qubits; "
           f"true g = {g_star}, {shots} shots x {reps} repetitions")
-    params = ising.IsingParams(n, field_b=g_star, coupling_j=1.0)
-    circuit_b = adiabatic.momentum_b(params, schedule)
-    print(f"circuit <B> = {circuit_b:.6f}  (analytic {ising.expected_b(g_star, n):.6f})")
+    report = cli.estimation_run(n, g_star, schedule, shots, reps, seed, window=(0.5, 1.5))
+    print(f"circuit <B> = {report['circuit_b']:.6f}  (analytic {report['analytic_b']:.6f})")
 
-    counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, reps, seed)
-    estimates, _ = metrology.estimate_counts(counts, shots, n)
-
-    mse = float(np.mean((estimates - g_star) ** 2))
-    predicted = metrology.precision_b(g_star, n, shots)
-    print(f"\nmean estimate  = {estimates.mean():.6f}")
-    print(f"empirical MSE  = {mse:.3e}")
-    print(f"predicted      = {predicted:.3e}   (ratio {mse / predicted:.2f})")
+    print(f"\nmean estimate  = {report['mean_estimate']:.6f}")
+    print(f"empirical MSE  = {report['empirical_mse']:.3e}")
+    print(f"predicted      = {report['predicted_delta_g_sq']:.3e}"
+          f"   (ratio {report['mse_over_prediction']:.2f})")
 
     qfi = dense.qfi_pure(ising.IsingParams(8, field_b=g_star, coupling_j=1.0))
     print(f"\ndense-oracle check at N = 8: Cramer-Rao bound {metrology.cramer_rao(qfi, shots):.3e}"

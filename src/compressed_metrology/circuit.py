@@ -20,13 +20,13 @@ RY on the probe].  Measuring Y on the probe then gives <B> = (1 - <Y_m>)/2.
 Every gate kind has one representation, gate = c 1 + s P with P monomial,
 (P psi)[i] = phase[i] psi[src[i]]: X, CX and HT = (X + Y)/sqrt(2) have
 c = 0, RY(theta) = cos(theta/2) 1 + sin(theta/2) RY(pi) and
-RXX(a) = cos a 1 + sin a (-i X(x)X).  ``apply_gate`` applies that sum.  The
+RXX(a) = cos a 1 + sin a (-i X(x)X), and ``_terms`` builds (c, s, P).  The
 runner composes the P's of one ``trotter_step_gates`` program once per
 register size: the gates before the RY give the ladder-wrapped S1 block
 cos a 1 + sin a P_S (HT^2 = 1 and A A^dag = 1 leave the identity term
 alone), and the RY gives P_Y, so it executes exactly the program
-``full_program`` dumps.  ``apply_gate``/``apply_program`` remain the
-interpreter for dumped programs and the oracle the runner is tested against.
+``full_program`` dumps.  Gates run only that way in the package; the tests
+hold a one-gate interpreter over ``_terms`` as the runner's oracle.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def initial_state(m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gate application: gate = c 1 + s P
+# Gate terms: gate = c 1 + s P
 # ---------------------------------------------------------------------------
 
 def _terms(gate: Gate, n_qubits: int) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -106,17 +106,6 @@ def _terms(gate: Gate, n_qubits: int) -> tuple[float, float, np.ndarray, np.ndar
         mask = sum(1 << (n_qubits - 1 - q) for q in gate.controls)
         src = np.where((idx & mask) == mask, src, idx)
     return 0.0, 1.0, src, np.ones(idx.size, dtype=complex)
-
-
-def apply_gate(amps: np.ndarray, gate: Gate) -> None:
-    """Apply ``gate`` in place to a register's amplitudes."""
-    c, s, src, phase = _terms(gate, amps.size.bit_length() - 1)
-    amps[:] = c * amps + s * (phase * amps[src])
-
-
-def apply_program(amps: np.ndarray, gates: tuple[Gate, ...]) -> None:
-    for gate in gates:
-        apply_gate(amps, gate)
 
 
 # ---------------------------------------------------------------------------

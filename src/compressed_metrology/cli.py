@@ -432,6 +432,7 @@ def cmd_estimate(cfg: dict) -> dict:
     window = cfg["window"]
     if len(window) != 2 or not window[0] < window[1]:
         _usage_error(f"--window must be lo,hi with lo < hi, got {','.join(map(str, window))}")
+    _check_ratios(window)  # <B> is evaluated at both ends
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
     _delta_g_sq(metrology.precision_b, g_star, [n], cfg["shots"])  # finite before the circuit runs

@@ -56,29 +56,34 @@ def _radicand(g: float, xi: float) -> float:
     return (1.0 - g) ** 2 + 4.0 * g * math.sin(0.5 * xi) ** 2
 
 
+def _modes(g: float, n_spins: int):
+    """(sin xi_j, cos xi_j, r_j^2) of the paired modes j = 1..N/2-1 in turn; checks N first."""
+    check_curve_size(n_spins)
+    for j in range(1, n_spins // 2):
+        xi = mode_xi(n_spins, j)
+        yield math.sin(xi), math.cos(xi), _radicand(g, xi)
+
+
 # ---------------------------------------------------------------------------
 # Fourier-mode occupation  B = b_1^dag b_1
 # ---------------------------------------------------------------------------
 
 def expected_b(g: float, n_spins: int) -> float:
     """Ground-state occupation of the k=1 Fourier mode, (1 - cos theta_1)/2."""
-    check_curve_size(n_spins)
-    xi = mode_xi(n_spins, 1)
-    return 0.5 * (1.0 + (math.cos(xi) - g) / math.sqrt(_radicand(g, xi)))
+    _, c, r2 = next(_modes(g, n_spins))
+    return 0.5 * (1.0 + (c - g) / math.sqrt(r2))
 
 
 def expected_b_derivative(g: float, n_spins: int) -> float:
     """d<B>/dg = -sin^2(xi_1) / (2 r^3); strictly negative, ~ -N/(4 pi) at g=1."""
-    check_curve_size(n_spins)
-    xi = mode_xi(n_spins, 1)
-    return -math.sin(xi) ** 2 / (2.0 * _radicand(g, xi) ** 1.5)
+    s, _, r2 = next(_modes(g, n_spins))
+    return -s ** 2 / (2.0 * r2 ** 1.5)
 
 
 def variance_b(g: float, n_spins: int) -> float:
     """Var B = sin^2(xi_1) / (4 r^2); equals <B>(1 - <B>) since B is a projector."""
-    check_curve_size(n_spins)
-    xi = mode_xi(n_spins, 1)
-    return math.sin(xi) ** 2 / (4.0 * _radicand(g, xi))
+    s, _, r2 = next(_modes(g, n_spins))
+    return s ** 2 / (4.0 * r2)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +92,7 @@ def variance_b(g: float, n_spins: int) -> float:
 
 def expected_m(g: float, n_spins: int) -> float:
     """<M> = (2/N) [1 + sum_{j=1}^{N/2-1} (g - cos xi_j)/r_j] on the even branch."""
-    check_curve_size(n_spins)
-    total = math.fsum(
-        (g - math.cos(mode_xi(n_spins, j))) / math.sqrt(_radicand(g, mode_xi(n_spins, j)))
-        for j in range(1, n_spins // 2)
-    )
+    total = math.fsum((g - c) / math.sqrt(r2) for _, c, r2 in _modes(g, n_spins))
     return 2.0 / n_spins * (1.0 + total)
 
 
@@ -101,11 +102,7 @@ def expected_m_derivative(g: float, n_spins: int) -> float:
     At g = 1 it grows like (ln N + gamma + ln(2/pi) - 1)/pi, with gamma the
     Euler-Mascheroni constant (to 4 digits for N >= 2^8).
     """
-    check_curve_size(n_spins)
-    total = math.fsum(
-        math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j)) ** 1.5
-        for j in range(1, n_spins // 2)
-    )
+    total = math.fsum(s ** 2 / r2 ** 1.5 for s, _, r2 in _modes(g, n_spins))
     return 2.0 / n_spins * total
 
 
@@ -119,11 +116,7 @@ def variance_m(g: float, n_spins: int) -> float:
     g -> infinity, and the dense oracle rules it out (3x the exact value at
     N = 4, g = 1).
     """
-    check_curve_size(n_spins)
-    total = math.fsum(
-        math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j))
-        for j in range(1, n_spins // 2)
-    )
+    total = math.fsum(s ** 2 / r2 for s, _, r2 in _modes(g, n_spins))
     return 4.0 / n_spins**2 * total
 
 
@@ -138,8 +131,4 @@ def qfi(g: float, n_spins: int) -> float:
     contributes (d theta_j/dg)^2 = sin^2(xi_j)/r_j^4; the unpaired modes stay
     empty.  ``dense.qfi_pure`` is its oracle.
     """
-    check_curve_size(n_spins)
-    return math.fsum(
-        math.sin(mode_xi(n_spins, j)) ** 2 / _radicand(g, mode_xi(n_spins, j)) ** 2
-        for j in range(1, n_spins // 2)
-    )
+    return math.fsum(s ** 2 / r2 ** 2 for s, _, r2 in _modes(g, n_spins))

@@ -2,9 +2,11 @@
 
 ``parse_program`` reads a ``circuit.dump_program`` text back into its gates
 and the header's parameters and schedule (the dump's round trip);
-``program_permutation`` and ``program_unitary`` give the exact basis map and
-the dense matrix of a gate tuple, the latter through the gate interpreter on
-plain amplitude arrays;
+``apply_gate`` and ``apply_program`` are the gate interpreter, each gate
+applied as c 1 + s P from ``circuit._terms`` on a plain amplitude array, the
+oracle the compiled runner is pinned to; ``program_permutation`` and
+``program_unitary`` give the exact basis map and the dense matrix of a gate
+tuple, the latter through the interpreter;
 ``ratio_g`` is g = B/J of a parameter set; ``bogoliubov_angle`` and
 ``mode_energy`` are one fermion mode's closed-form angle and quasiparticle
 energy, and ``mode_data`` bundles them;
@@ -48,7 +50,7 @@ import numpy as np
 
 from compressed_metrology import dense, ising
 from compressed_metrology.adiabatic import TrotterSchedule
-from compressed_metrology.circuit import Gate, apply_program
+from compressed_metrology.circuit import Gate, _terms
 from compressed_metrology.ising import IsingParams
 from compressed_metrology.matchgate import _check_even_square
 
@@ -98,6 +100,17 @@ def parse_program(
             controls = tuple(int(c) for c in match[11].split(","))
             gates.append(Gate("CX", (int(match[12]),), controls=controls))
     return tuple(gates), params, schedule
+
+
+def apply_gate(amps: np.ndarray, gate: Gate) -> None:
+    """Apply ``gate`` in place to a register's amplitudes."""
+    c, s, src, phase = _terms(gate, amps.size.bit_length() - 1)
+    amps[:] = c * amps + s * (phase * amps[src])
+
+
+def apply_program(amps: np.ndarray, gates: tuple[Gate, ...]) -> None:
+    for gate in gates:
+        apply_gate(amps, gate)
 
 
 def program_permutation(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:

@@ -23,7 +23,14 @@ from compressed_metrology.circuit import (
 )
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import r0_rotation, r1_rotation, shift_matrix
-from support import parse_program, program_permutation, program_unitary, tau
+from support import (
+    apply_gate,
+    apply_program,
+    parse_program,
+    program_permutation,
+    program_unitary,
+    tau,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -57,7 +64,7 @@ class TestGateValidation:
     def test_out_of_range_rejected_at_apply(self):
         reg = initial_state(1)
         with pytest.raises(IndexError):
-            circuit.apply_gate(reg, Gate("X", (5,)))
+            apply_gate(reg, Gate("X", (5,)))
 
 
 def kron_register(ops):
@@ -201,7 +208,7 @@ class TestS1AuxGates:
         prog = s1_aux_gates(np.pi / 2.0, m)
         amps = np.zeros(8, dtype=complex)
         amps[[0, 1]] = 1.0 / np.sqrt(2.0)  # |0>|0>|+>
-        circuit.apply_program(amps, prog)
+        apply_program(amps, prog)
         expected = np.zeros(8, dtype=complex)
         expected[[2, 3]] = 1.0 / np.sqrt(2.0)  # -iY|0> = |1>
         assert np.abs(amps - expected).max() < 1e-12
@@ -209,7 +216,7 @@ class TestS1AuxGates:
     def test_aux_left_unentangled(self):
         m = 2
         reg = initial_state(m)
-        circuit.apply_program(reg, s1_aux_gates(0.7, m))
+        apply_program(reg, s1_aux_gates(0.7, m))
         view = reg.reshape(-1, 2)
         plus_component = (view[:, 0] + view[:, 1]) / np.sqrt(2.0)
         assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-12
@@ -258,7 +265,7 @@ class TestRunner:
         sch = TrotterSchedule(total_time=4.0, steps=6)
         reg = initial_state(3)
         for l in range(sch.steps, -1, -1):
-            circuit.apply_program(reg, step_gates(params, sch, l, 3))
+            apply_program(reg, step_gates(params, sch, l, 3))
             view = reg.reshape(-1, 2)
             plus_component = (view[:, 0] + view[:, 1]) / np.sqrt(2.0)
             assert np.linalg.norm(plus_component) ** 2 > 1.0 - 1e-10
@@ -272,7 +279,7 @@ class TestCompiledRunner:
         m = params.n_spins.bit_length() - 1
         reg = initial_state(m)
         for l in range(sch.steps, -1, -1):
-            circuit.apply_program(reg, step_gates(params, sch, l, m))
+            apply_program(reg, step_gates(params, sch, l, m))
         return reg
 
     @settings(max_examples=30, deadline=None)

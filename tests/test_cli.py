@@ -6,7 +6,6 @@ import importlib.util
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -244,6 +243,9 @@ class TestUsageErrors:
         (["estimate", "--n", "4", "--g", "1e200"], "1e+200"),
         (["sweep", "--n", "4", "--g", "1,-2e77"], "-2e+77"),
         (["compare", "--n", "4", "--b", "1e100", "--j", "1e-100"], "1e+200"),
+        # <B> is evaluated at the calibration window's ends
+        (["estimate", "--n", "4", "--window", "0.5,1e300"], "1e+300"),
+        (["estimate", "--n", "4", "--window=-1e200,1.5"], "-1e+200"),
     ])
     def test_ratio_past_the_closed_forms(self, monkeypatch, capsys, argv, g):
         def not_reached(*args, **kwargs):
@@ -643,8 +645,9 @@ class TestOracle:
 
     def test_branch_matches_closed_forms(self, tmp_path):
         # the branch grown from |0..0> on both sides of g = 0, where the whole
-        # even sector's lowest level is another state
-        grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+        # even sector's lowest level is another state; at |g| = 100 the spectral
+        # QFI still holds 1e-12 (it degrades past g = -1e3, see README)
+        grid = [-100.0, -10.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 10.0, 100.0]
         code, data = run(tmp_path, "oracle", "--n", "4,8", "--g=" + ",".join(map(str, grid)),
                          "--l-steps", "8")
         rows = json.loads(data)["rows"]
@@ -682,21 +685,42 @@ def test_option_table_has_no_dead_keys():
     assert set(cli._OPTIONS) == flags
 
 
+def _named(tree):
+    """Every name a syntax tree uses: Names, Attributes, import aliases and identifier strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
 def test_every_public_name_has_a_caller():
-    """Each public top-level function and class of the package is named outside its definition."""
-    texts = {path: path.read_text() for folder in ("src", "tests", "demos", "perfbench")
-             for path in (ROOT / folder).rglob("*.py")}
+    """Each public top-level function and class of the package is used in code outside its definition.
+
+    Uses count in ``src/``, ``demos/`` and the benchmark's modules, not its tests: the
+    benchmark's tracer names its hooks as strings.  A docstring mention or a caller in
+    ``tests/`` alone does not count, so test-only code in the package shows up here.
+    """
+    outside = [*(ROOT / "demos").rglob("*.py"),
+               *(path for path in PERFBENCH.rglob("*.py") if not path.name.startswith("test_"))]
+    used = set().union(*(_named(ast.parse(path.read_text())) for path in outside))
+    package = {path: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "compressed_metrology").glob("*.py"))}
+    top_level = [(path, node, _named(node)) for path, tree in package.items() for node in tree.body]
     dead = []
-    for path in sorted((ROOT / "src" / "compressed_metrology").glob("*.py")):
-        lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            elsewhere = [text for other, text in texts.items() if other != path]
-            elsewhere.append("\n".join(lines[:first - 1] + lines[node.end_lineno:]))
-            if not any(re.search(rf"\b{node.name}\b", text) for text in elsewhere):
-                dead.append(f"{path.name}:{node.name}")
+    for path, node, _ in top_level:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not any(node.name in names for _, other, names in top_level if other is not node) \
+                and node.name not in used:
+            dead.append(f"{path.name}:{node.name}")
     assert dead == []
 
 
