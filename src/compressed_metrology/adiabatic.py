@@ -56,6 +56,11 @@ from .ising import IsingParams
 # (tracemalloc peak 2.6-2.7 MiB per call at N = 64..256), near a 2 MB L2.
 _CHUNK_ENTRIES = 1 << 15
 
+# The default step: L + 1 = ceil(T / TROTTER_STEP) keeps Delta = T/(L+1) at or
+# under it, which bounds the Trotter error whatever L is (Kovalsky et al.,
+# PRL 131, 060602 (2023)).
+TROTTER_STEP = 0.1
+
 
 @dataclass(frozen=True)
 class TrotterSchedule:
@@ -69,6 +74,8 @@ class TrotterSchedule:
             raise ValueError(f"total_time must be positive, got {self.total_time}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
+        if self.steps >= 2**53:  # tau(l) reads l as a float, exact up to 2^53
+            raise ValueError(f"L + 1 must be at most 2^53, got L={self.steps}")
 
     @property
     def delta(self) -> float:
@@ -85,37 +92,31 @@ def build_schedule(
     total_time: float | None = None,
     steps: int | None = None,
     *,
-    step_cap: int = 10**6,
+    step_cap: int | None = None,
 ) -> TrotterSchedule:
-    """Schedule with desk-scale defaults T = 10 N^2 and L = min(N^5, step_cap).
+    """Schedule with defaults T = 10 N^2 and the fewest L >= 1 with Delta <= TROTTER_STEP.
 
-    The asymptotically sufficient choice L ~ N^5 is infeasible beyond toy
-    sizes, hence the cap.  A Trotter proxy L Delta^2 that is not finite
-    raises ValueError.
+    ``step_cap``, if given, bounds that default L.  A default L + 1 over 2^53
+    and a Trotter proxy L Delta^2 that is not finite raise ValueError.
     """
     if total_time is None:
         total_time = 10.0 * n_spins**2
     if steps is None:
-        steps = min(n_spins**5, step_cap)
+        fewest = total_time / TROTTER_STEP
+        if fewest > 2**53:
+            raise ValueError(f"the default schedule at N={n_spins}, T={float(total_time)} "
+                             f"needs L + 1 = {fewest:.4g} steps, more than 2^53")
+        steps = max(math.ceil(fewest), 2) - 1
+        if step_cap is not None:
+            steps = min(steps, step_cap)
     if total_time <= 0.0 or steps <= 0:
         raise ValueError(
             f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
     schedule = TrotterSchedule(total_time=float(total_time), steps=int(steps))
-    if math.isinf(trotter_error_bound(schedule)):
+    if math.isinf(steps * schedule.delta * schedule.delta):
         raise ValueError(f"the Trotter proxy L*Delta^2 is not finite at N={n_spins}, "
                          f"T={schedule.total_time}, L={schedule.steps}")
     return schedule
-
-
-def trotter_error_bound(schedule: TrotterSchedule) -> float:
-    """The discretization-error proxy L * Delta^2 (a comparable scale, not a bound constant).
-
-    It is inf where it leaves the float range.
-    """
-    try:
-        return schedule.steps * schedule.delta**2
-    except OverflowError:  # Delta^2 alone; a product past the range is inf already
-        return math.inf
 
 
 def _tree_layout(rows: int) -> np.ndarray:

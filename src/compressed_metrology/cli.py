@@ -41,14 +41,14 @@ _OPTIONS = {
     "n": (int, True, "comma-separated system sizes"),
     "n_magnetization": (int, True, "sizes for the magnetization fit"),
     "g": (float, True, "comma-separated field/coupling ratios"),
-    "b": (float, False, "field B (with --j, overrides --g)"),
+    "b": (float, False, "field B"),
     "j": (float, False, "coupling J"),
     "shots": (int, False, "shots per repetition"),
     "reps": (int, False, "Monte Carlo repetitions, at most 10^7"),
     "seed": (int, False, "RNG seed (mandatory)"),
     "window": (float, True, "calibration search window lo,hi"),
     "t_total": (float, False, "adiabatic duration T (default 10 N^2)"),
-    "l_steps": (int, False, "Trotter step count L (default min(N^5, 10^6))"),
+    "l_steps": (int, False, "Trotter step count L (default L + 1 = ceil(T/0.1))"),
     "analytic_tol": (float, False, "also check |analytic - matrix| against this tolerance"),
     "format": (str, False, "csv or json"),
     "out": (str, False, "output path (default stdout)"),
@@ -192,17 +192,12 @@ def _check_ratios(ratios: list[float]) -> None:
             _usage_error(f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
 
 
-def _apply_b_override(cfg: dict) -> None:
-    """--b with --j replaces the --g list by B/J; g is undefined at J = 0.
-
-    Finite options can still overflow: every g = B/J and field g*J must be finite.
-    """
+def _check_couplings(cfg: dict) -> None:
+    """Usage error at J = 0 (g = B/J is undefined) or where a field g*J or a closed form overflows."""
     if cfg["j"] == 0:
         _usage_error(f"--j must be nonzero (g = B/J), got {cfg['j']}")
-    if cfg["b"] is not None:
-        cfg["g"] = [cfg["b"] / cfg["j"]]
     for g in cfg["g"]:
-        if not (math.isfinite(g) and math.isfinite(g * cfg["j"])):
+        if not math.isfinite(g * cfg["j"]):
             _usage_error(f"couplings must be finite, got g = {g} and B = g*J = {g * cfg['j']}")
     _check_ratios(cfg["g"])
 
@@ -219,8 +214,8 @@ def _schedule_from(cfg: dict, n_spins: int,
     """The schedule at N = ``n_spins``; usage error unless its step quantities are finite.
 
     ``couplings`` lists the (B, J) pairs that run on it.  ``build_schedule``
-    checks the Trotter proxy L*Delta^2; here the field angle 4|B|Delta and
-    the largest interaction angle 2|J|Delta go into every step's gates.
+    checks L and L*Delta^2; here the field angle 4|B|Delta and the largest
+    interaction angle 2|J|Delta go into every step's gates.
     """
     try:
         schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"])
@@ -248,8 +243,7 @@ def _delta_g_sq(point, g: float, sizes: list[int], shots: int) -> dict[str, floa
 
 
 def _schedule_meta(sch: adiabatic.TrotterSchedule) -> dict:
-    return {"t_total": sch.total_time, "l_steps": sch.steps,
-            "trotter_proxy": adiabatic.trotter_error_bound(sch)}
+    return {"t_total": sch.total_time, "l_steps": sch.steps}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +333,7 @@ def cmd_scaling(cfg: dict) -> dict:
 
 def cmd_compare(cfg: dict) -> dict:
     """<B> five ways per (N, g): closed form, rotation, k = 1 kernel, gate circuit, dense state."""
-    _apply_b_override(cfg)
+    _check_couplings(cfg)
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
     if sizes[-1] > 8:
@@ -426,7 +420,7 @@ def estimation_run(
 
 
 def cmd_estimate(cfg: dict) -> dict:
-    _apply_b_override(cfg)
+    _check_couplings(cfg)
     if cfg["seed"] is None:
         _usage_error("--seed is mandatory for stochastic commands")
     window = cfg["window"]
@@ -542,10 +536,10 @@ _COMMANDS = {
                 {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
                  "shots": 1, "out": None}),
     "compare": (cmd_compare, "analytic vs matrix vs kernel vs gate vs dense <B>",
-                {"n": [4], "g": [0.5, 1.0, 1.5], "b": None, "j": 1.0, **_SCHEDULE,
+                {"n": [4], "g": [0.5, 1.0, 1.5], "j": 1.0, **_SCHEDULE,
                  "analytic_tol": None, "out": None}),
     "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",
-                 {"n": [16], "g": [1.0], "b": None, "j": 1.0, "shots": 10_000, "reps": 200,
+                 {"n": [16], "g": [1.0], "j": 1.0, "shots": 10_000, "reps": 200,
                   "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "out": None}),
     "dump": (cmd_dump, "write the gate program of R^T(B, J)",
              {"n": [4], "b": 1.0, "j": 1.0, **_SCHEDULE, "out": None}),

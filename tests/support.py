@@ -12,8 +12,10 @@ tuple, the latter through the interpreter;
 energy, and ``mode_data`` bundles them;
 ``tau`` is one step's interaction time, written apart from
 ``TrotterSchedule.taus`` so the oracles check that formula rather than share
-it; ``sequential_reference`` is the two-qubit sequential scheme's bound that the
-compressed protocol is compared with, and ``bisect_expected_b`` the bisection
+it; ``trotter_error_bound`` is the scale L Delta^2 that the convergence tests
+order schedules by; ``sequential_reference`` is the two-qubit sequential
+scheme's bound that the compressed protocol is compared with, and
+``bisect_expected_b`` the bisection
 of <B>(g) that pins ``metrology.invert_expected_b``'s closed form.
 ``pauli_string`` is a dense Pauli string as a Kronecker product of 2x2
 Paulis; ``hamiltonian_from_strings`` and ``trotter_evolve_sector_stepwise``
@@ -58,6 +60,17 @@ from compressed_metrology.matchgate import _check_even_square
 def tau(schedule: TrotterSchedule, l: int) -> float:
     """Ising interaction time 2 l Delta / L of step l; 0 at l = 0, also for L = 0."""
     return 0.0 if l == 0 else 2.0 * l * schedule.delta / schedule.steps
+
+
+def trotter_error_bound(schedule: TrotterSchedule) -> float:
+    """The discretization-error proxy L * Delta^2 (a comparable scale, not a bound constant).
+
+    It is inf where it leaves the float range.
+    """
+    try:
+        return schedule.steps * schedule.delta**2
+    except OverflowError:  # Delta^2 alone; a product past the range is inf already
+        return math.inf
 
 
 _GATE_RE = re.compile(

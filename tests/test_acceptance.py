@@ -20,7 +20,7 @@ from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.cli import estimation_run
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import direct_rotation
-from support import program_permutation
+from support import program_permutation, trotter_error_bound
 
 
 def _report(capsys, criterion: str, ok: bool, elapsed: float, detail: str) -> None:
@@ -165,7 +165,7 @@ def test_criterion_5_adiabatic_preparation(capsys):
         sch = TrotterSchedule(total_time=160.0, steps=steps)
         rot = adiabatic.adiabatic_rotation(params, sch)
         errors.append(abs(matchgate.expectation_quadratic(rot, obs) - target))
-        proxies.append(adiabatic.trotter_error_bound(sch))
+        proxies.append(trotter_error_bound(sch))
     monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:])) and all(
         p2 < p1 for p1, p2 in zip(proxies, proxies[1:])
     )

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from compressed_metrology import adiabatic, circuit, dense, ising, matchgate
-from compressed_metrology.adiabatic import (
-    TrotterSchedule,
-    adiabatic_rotation,
-    build_schedule,
-    trotter_error_bound,
-)
+from compressed_metrology.adiabatic import TrotterSchedule, adiabatic_rotation, build_schedule
 from compressed_metrology.ising import IsingParams
 from rotation_oracle import (
     block_rotation,
@@ -31,7 +26,8 @@ from rotation_oracle import (
     shift_matrix,
     su2_tree,
 )
-from support import conjugation_rotation, exp_generator, pauli_string, products_longdouble, tau
+from support import (conjugation_rotation, exp_generator, pauli_string, products_longdouble,
+                     tau, trotter_error_bound)
 
 
 class TestSchedule:
@@ -81,16 +77,24 @@ class TestBuildSchedule:
     def test_desk_defaults(self):
         sch = build_schedule(4)
         assert sch.total_time == 160.0
-        assert sch.steps == 1024
+        assert sch.steps == 1599
 
     def test_step_cap(self):
-        assert build_schedule(16).steps == 10**6
+        assert build_schedule(1024).steps == 104857599
+        assert build_schedule(64, step_cap=30000).steps == 30000
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             build_schedule(4, total_time=-1.0)
         with pytest.raises(ValueError):
             build_schedule(4, steps=0)
+
+    def test_rejects_step_indices_past_the_exact_floats(self):
+        # tau(l) reads l as a float: L + 1 = 2^53 is the last exact count
+        assert build_schedule(4, steps=2**53 - 1).steps == 2**53 - 1
+        with pytest.raises(ValueError, match="L \\+ 1 must be at most 2\\^53, "
+                                             "got L=9007199254740992"):
+            build_schedule(4, steps=2**53)
 
     def test_proxy_past_the_float_range_raises_before_the_budget_warning(self):
         with warnings.catch_warnings():
@@ -421,7 +425,7 @@ class TestBlockedProduct:
 class TestMomentumKernel:
     """<B> from the one SU(2) product at q = 2 pi / N against the gate runner and the rotation."""
 
-    @pytest.mark.parametrize("n_spins", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n_spins", [4, 8, 16, 32, 64, 256, 1024])
     @pytest.mark.parametrize("g", [0.7, 1.0, 1.3])
     def test_matches_gate_runner(self, n_spins, g):
         params = IsingParams(n_spins, field_b=g, coupling_j=1.0)
