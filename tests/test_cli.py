@@ -386,9 +386,11 @@ class TestUsageErrors:
             cfg.write_text(text)
         assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
 
+    # The ids stay those of the cases' first positions, after a third case
+    # (compare --b 1e308 --j 1e-308) that went with compare's --b.
     @pytest.mark.parametrize("command,extra", [
-        ("compare", ["--g", "1e200", "--j", "1e200"]),
-        ("estimate", ["--g", "1e200", "--j", "1e200"]),
+        pytest.param("compare", ["--g", "1e200", "--j", "1e200"], id="compare-extra1"),
+        pytest.param("estimate", ["--g", "1e200", "--j", "1e200"], id="estimate-extra2"),
     ])
     def test_nonfinite_coupling(self, capsys, command, extra):
         # Finite options whose field B = g*J overflows.
