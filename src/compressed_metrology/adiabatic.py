@@ -28,13 +28,15 @@ Laurent polynomial in z with real coefficients: powers -m..m-1 in a and
 e^{i pi j / m} fix it; one inverse real FFT of size 2m gives the
 coefficients and one real FFT of length N their values at all N/2 + 1
 momenta.  That costs m + 1 + (N/2 + 1)/m entries per step instead of
-N/2 + 1, and m ~ sqrt(N/2) makes it about 2 sqrt(N/2).  The FFTs move the
-last bits, and below m = 4 they cost more than they save, so one momentum
-and N <= 32 keep m = 1: each step evaluated at q, the bits of the plain
-product.  Block values are streamed in chunks of _CHUNK_ENTRIES (block,
-momentum) entries through ``out=`` buffers allocated once per call, so the
-product's working set, about 2.5 MB, grows with neither N nor L; a chunk is
-stored so that each level of its pairwise tree reads contiguous halves.
+N/2 + 1, plus the FFTs; timed, the cheapest m is the largest power of two
+with m^2 <= N + 2, 8 at N = 64 and 32 at N = 1024.  The FFTs move the last
+bits, so one momentum and N <= 32, where that m is below 8, keep m = 1: each
+step evaluated at q, the bits of the plain product.  Block values are streamed in chunks of about
+_CHUNK_ENTRIES entries of the wider of a block's two rows, its N/2 + 1
+momenta or its m (m + 1) grid values, through ``out=`` buffers allocated
+once per call, so the product's working set, about 2.5 MB, grows with
+neither N nor L; a chunk is stored so that each level of its pairwise tree
+reads contiguous halves.
 The test suite keeps the step-by-step product of the 2N x 2N rotations, the
 allocating per-momentum product (equal bit for bit where m = 1), the
 offset-table gather of the back-transform (equal byte for byte) and an
@@ -50,10 +52,10 @@ import numpy as np
 
 from .ising import IsingParams
 
-# (step, mode) entries per chunk of the streamed product: each complex step
-# array is 512 KB whatever N and L are.  With the tree's three half-size
-# buffers and the blocks' FFT rows a chunk's working set is about 2.5 MB
-# (tracemalloc peak 2.6-2.7 MiB per call at N = 64..256), near a 2 MB L2.
+# Entries of a block's wider row per chunk of the streamed product: each
+# complex buffer is 512 KB whatever N and L are.  With the tree's three
+# half-size buffers and the blocks' FFT rows a chunk's working set is about
+# 2.5 MB (tracemalloc peak 2.3-2.7 MiB per call at N = 64..2048), near a 2 MB L2.
 _CHUNK_ENTRIES = 1 << 15
 
 # The default step: L + 1 = ceil(T / TROTTER_STEP) keeps Delta = T/(L+1) at or
@@ -167,18 +169,29 @@ def _su2_tree(
 
 
 def _block_size(modes: int) -> int:
-    """Steps per block of the product at ``modes`` momenta: 1, or a power of two m >= 4.
+    """Steps per block of the product at ``modes`` momenta: 1, or a power of two m >= 8.
 
-    m is the largest power of two with m (m + 1) <= modes, so that a block's
-    grid values fit in the buffers of its values at the momenta.  Blocks cost
-    m + 1 + modes / m entries per step plus four real FFTs per block; below
-    m = 4 that does not beat the modes entries per step of m = 1, which one
-    momentum and N <= 32 keep.
+    A block costs m + 1 grid entries and modes / m momentum entries per step,
+    plus four real FFTs per block, two of length N.  Timed at L = 30000 and
+    N = 64..4096, the cheapest power of two is the largest m with
+    m^2 <= 2 modes.  Where that is below 8, for one momentum and N <= 32,
+    the product keeps m = 1 and with it the bits of the plain product.
     """
-    m = 4
-    while 2 * m * (2 * m + 1) <= modes:
+    m = 1
+    while (2 * m) ** 2 <= 2 * modes:
         m *= 2
-    return m if m * (m + 1) <= modes else 1
+    return m if m >= 8 else 1
+
+
+def _block_width(modes: int, m: int) -> int:
+    """Entries per block of a chunk's wider row: its values at the ``modes`` momenta
+    or, for m > 1, the m (m + 1) grid values of its steps."""
+    return modes if m == 1 else max(modes, m * (m + 1))
+
+
+def _chunk_blocks(modes: int, m: int) -> int:
+    """Blocks per chunk of the streamed product: _CHUNK_ENTRIES entries of its wider row."""
+    return max(1, _CHUNK_ENTRIES // _block_width(modes, m))
 
 
 def _steps(
@@ -217,8 +230,8 @@ def _interpolate(
 
 def _block_values(
     phi: np.ndarray, pad: np.ndarray, cb: float, sb: float, grid: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray], tree: tuple[np.ndarray, np.ndarray, np.ndarray],
-    coef: np.ndarray, wrap: np.ndarray
+    out: tuple[np.ndarray, np.ndarray], flat: list[np.ndarray], coef: np.ndarray,
+    wrap: np.ndarray
 ) -> None:
     """Write (a, b) at q_k = 2 pi k / N, k = 0..N/2, of each block of steps into ``out``.
 
@@ -227,14 +240,15 @@ def _block_values(
     Each block's product is a Laurent polynomial in z with real coefficients,
     of powers -m..m-1 in a and -m+1..m in b: its pairwise tree runs on the
     grid z_j = e^{i pi j / m}, j = 0..m, and ``_interpolate`` takes it to the
-    momenta.  The grid steps and their tree live in the
-    memory of ``out`` and ``tree``: a's values are read before ``out[0]`` is
-    written, and b's never sit in it.
+    momenta.  The grid steps and their tree are views of the leading entries
+    of ``flat``, the chunk's five buffers, sized by ``_block_width`` for the
+    wider of a block's rows; ``out`` views the first two, but a's values are
+    read before ``out[0]`` is written, and b's never sit in it.
     """
     m, count = phi.shape
     size = m * count * (m + 1)
-    work = [buf.reshape(-1)[:size].reshape(m, count, m + 1) for buf in out]
-    halves = [buf.reshape(-1)[:size // 2].reshape(m // 2, count, m + 1) for buf in tree]
+    work = [buf[:size].reshape(m, count, m + 1) for buf in flat[:2]]
+    halves = [buf[:size // 2].reshape(m // 2, count, m + 1) for buf in flat[2:]]
     _steps(np.cos(phi)[:, :, None], np.sin(phi)[:, :, None], cb, sb, grid, *work)
     work[0][pad, -1] = 1.0
     work[1][pad, -1] = 0.0
@@ -251,9 +265,9 @@ def _momentum_products(
     Momentum q sees the step Ghat_odd(q, phi_l) Ghat_even(beta).  The steps
     are taken in blocks of m = ``_block_size(q.size)``: with m = 1 a block's
     value is its step at q, with m > 1 it comes from ``_block_values``.  The
-    block values are streamed in chunks of about _CHUNK_ENTRIES (block,
-    momentum) entries, each reduced by a pairwise tree and folded into the
-    running product.  The buffers and the tree's layout are made once per call.
+    block values are streamed in chunks of ``_chunk_blocks`` blocks, each
+    reduced by a pairwise tree and folded into the running product.  The
+    buffers and the tree's layout are made once per call.
     """
     n, steps, modes = params.n_spins, schedule.steps, q.size
     m = _block_size(modes)
@@ -264,12 +278,16 @@ def _momentum_products(
 
     acc_a = np.ones(modes, dtype=complex)
     acc_b = np.zeros(modes, dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // modes)
+    chunk = _chunk_blocks(modes, m)
     blocks = -(-(steps + 1) // m)
     rows = min(chunk, blocks)
-    step_a, step_b = (np.empty((rows, modes), dtype=complex) for _ in range(2))
-    half_a, half_b, scratch = (np.empty(((rows + 1) // 2, modes), dtype=complex)
-                               for _ in range(3))
+    # Flat buffers as wide as a chunk's wider row; the chunk's (block, momentum)
+    # entries and its blocks' grid values are views of their leading entries.
+    width = _block_width(modes, m)
+    flat = [np.empty(rows * width, dtype=complex) for _ in range(2)]
+    flat += [np.empty((rows + 1) // 2 * width, dtype=complex) for _ in range(3)]
+    step_a, step_b = (buf[:rows * modes].reshape(rows, modes) for buf in flat[:2])
+    tree = [buf[:(rows + 1) // 2 * modes].reshape(-1, modes) for buf in flat[2:]]
     layout = _tree_layout(rows)
     if m > 1:
         inner = _tree_layout(m)
@@ -289,8 +307,8 @@ def _momentum_products(
             # _tree_layout keeps the last block last; its rows past stop are padding
             pad = np.flatnonzero(inner >= stop - start - (count - 1) * m)
             _block_values(phi.reshape(count, m)[layout][:, inner].T, pad, cb, sb, z,
-                          (ch_a, ch_b), (half_a, half_b, scratch), coef, wrap)
-        ch_a, ch_b = _su2_tree(ch_a, ch_b, half_a, half_b, scratch)
+                          (ch_a, ch_b), flat, coef, wrap)
+        ch_a, ch_b = _su2_tree(ch_a, ch_b, *tree)
         acc_a, acc_b = ch_a * acc_a - np.conj(ch_b) * acc_b, ch_b * acc_a + np.conj(ch_a) * acc_b
         # The (a, b) form is exactly unitary iff |a|^2 + |b|^2 = 1, so a cheap
         # renormalization per chunk stops roundoff drift over ~1e8 factors.

@@ -134,7 +134,7 @@ def half_spectrum_products(
 
     acc_a = np.ones(q.size, dtype=complex)
     acc_b = np.zeros(q.size, dtype=complex)
-    chunk = max(1, adiabatic._CHUNK_ENTRIES // q.size)
+    chunk = adiabatic._chunk_blocks(q.size, 1)
     for start in range(0, steps + 1, chunk):
         if steps:
             taus = 2.0 * np.arange(start, min(start + chunk, steps + 1)) * schedule.delta / steps

@@ -237,7 +237,7 @@ class TestAdiabaticRotation:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries(self, n_spins, offset):
         # L + 1 steps one short of, equal to and one past a whole chunk
-        chunk = adiabatic._CHUNK_ENTRIES // (n_spins // 2 + 1)
+        chunk = adiabatic._chunk_blocks(n_spins // 2 + 1, 1)
         params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
         sch = TrotterSchedule(total_time=20.0, steps=chunk + offset - 1)
         assert np.abs(adiabatic_rotation(params, sch) - direct_rotation(params, sch)).max() < 1e-12
@@ -273,15 +273,36 @@ class TestWorkingMemory:
     def budget(self) -> int:
         return 12 * 16 * adiabatic._CHUNK_ENTRIES
 
-    def test_rotation_holds_its_output_and_chunks(self):
-        params = IsingParams(1024, field_b=1.0, coupling_j=1.0)
-        sch = TrotterSchedule(total_time=0.3 * 1024**2, steps=4096)
-        assert self.peak_bytes(adiabatic_rotation, params, sch) <= 2048**2 * 8 + self.budget
+    # a block's grid row, m (m + 1) entries, is wider than its N/2 + 1 momenta at each
+    @pytest.mark.parametrize("n_spins", [64, 256, 1024])
+    def test_rotation_holds_its_output_and_chunks(self, n_spins):
+        params = IsingParams(n_spins, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=0.3 * n_spins**2, steps=4096)
+        output = (2 * n_spins) ** 2 * 8
+        assert self.peak_bytes(adiabatic_rotation, params, sch) <= output + self.budget
 
     def test_kernel_does_not_grow_with_steps(self):
         params = IsingParams(16, field_b=1.0, coupling_j=1.0)
         sch = TrotterSchedule(total_time=2560.0, steps=10 * adiabatic._CHUNK_ENTRIES)
         assert self.peak_bytes(adiabatic.momentum_b, params, sch) <= self.budget
+
+
+def traced_products(
+    params: IsingParams, sch: TrotterSchedule, q: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
+    """``_momentum_products`` and the first step of each chunk it streams, read from its
+    one ``taus`` call per chunk."""
+    with mock.patch.object(TrotterSchedule, "taus", autospec=True,
+                           side_effect=TrotterSchedule.taus) as taus:
+        products = adiabatic._momentum_products(params, sch, q)
+    return products, [call.args[1] for call in taus.call_args_list]
+
+
+def assert_near_boundary(starts: list[int], steps: int, span: int, offset: int) -> None:
+    """The kernel starts a chunk every ``span`` steps, and L + 1 lies ``offset`` from a
+    multiple of ``span``: one short of, equal to or one past a chunk boundary."""
+    assert starts == list(range(0, steps + 1, span))
+    assert (steps + 1 - offset) % span == 0
 
 
 def assert_matches_plain(got: np.ndarray, want: np.ndarray) -> None:
@@ -347,14 +368,16 @@ class TestBufferedProduct:
         # L + 1 steps one short of, equal to and one past whole chunks, for
         # chunks of one row (or block) up to many
         modes = n_spins // 2 + 1
-        chunk = max(1, chunk_entries // modes) * adiabatic._block_size(modes)
-        steps = max(0, chunks * chunk + offset - 1)
+        m = adiabatic._block_size(modes)
         params = IsingParams(n_spins, field_b=b_field, coupling_j=coupling)
-        sch = TrotterSchedule(total_time=20.0, steps=steps)
         q = 2.0 * np.pi * np.arange(modes) / n_spins
         with mock.patch.object(adiabatic, "_CHUNK_ENTRIES", chunk_entries):
+            chunk = adiabatic._chunk_blocks(modes, m) * m
+            steps = max(0, chunks * chunk + offset - 1)
+            sch = TrotterSchedule(total_time=20.0, steps=steps)
             plain = half_spectrum_products(params, sch)
-            buffered = adiabatic._momentum_products(params, sch, q)
+            buffered, starts = traced_products(params, sch, q)
+        assert_near_boundary(starts, steps, chunk, offset)
         for got, want in zip(buffered, plain):
             assert_matches_plain(got, want)
 
@@ -373,12 +396,14 @@ class TestBlockedProduct:
     """Blocks of m > 1 steps, evaluated on a 2m-point grid and interpolated to the momenta."""
 
     def test_block_sizes(self):
-        # one momentum and N <= 32 keep one step per block, and their bits
-        sizes = [adiabatic._block_size(n // 2 + 1) for n in (2, 4, 8, 16, 32, 64, 128, 256, 512)]
-        assert sizes == [1, 1, 1, 1, 1, 4, 4, 8, 8]
+        # one momentum and N <= 32 keep one step per block, and their bits;
+        # from N = 64 on m is the largest power of two with m^2 <= 2 (N/2 + 1)
+        sizes = [adiabatic._block_size(2**k // 2 + 1) for k in range(1, 13)]
+        assert sizes == [1, 1, 1, 1, 1, 8, 8, 16, 16, 32, 32, 64]
         assert adiabatic._block_size(1) == 1
 
-    @pytest.mark.parametrize("m,n_spins", [(2, 4), (4, 64), (8, 256), (16, 1024)])
+    @pytest.mark.parametrize("m,n_spins",
+                             [(2, 4), (4, 64), (8, 256), (16, 1024), (32, 1024), (64, 4096)])
     def test_interpolation_reproduces_trig_polynomials(self, m, n_spins):
         # Random real polynomials in both windows, a's (top m - 1) and b's
         # (top m), through one shared wrap buffer in turn, so that an entry
@@ -395,22 +420,29 @@ class TestBlockedProduct:
             want = c @ np.exp(2j * np.pi * (np.outer(powers, k) % n_spins) / n_spins)
             got = np.empty((rows, modes), dtype=complex)
             adiabatic._interpolate(grid, top, coef, wrap, got)
-            assert np.abs(got - want).max() < 1e-14
+            # both sides round sums of 2m terms, so the error grows with m
+            assert np.abs(got - want).max() < 1e-14 * max(1, m / 16)
 
     @pytest.mark.parametrize("n_spins", [64, 256])
     @pytest.mark.parametrize("boundary", ["block", "chunk"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_and_chunk_boundaries(self, n_spins, boundary, offset):
         # L + 1 one short of, equal to and one past a whole block (the last
-        # block padded with identity steps) and a whole chunk of blocks
+        # block padded with identity steps) and two whole chunks of blocks, so
+        # that the chunk starts show where the first chunk ends
         modes = n_spins // 2 + 1
         m = adiabatic._block_size(modes)
-        whole = 5 * m if boundary == "block" else adiabatic._CHUNK_ENTRIES // modes * m
+        chunk = adiabatic._chunk_blocks(modes, m) * m
+        whole = 5 * m if boundary == "block" else 2 * chunk
         params = IsingParams(n_spins, field_b=0.9, coupling_j=1.3)
         sch = TrotterSchedule(total_time=20.0, steps=whole + offset - 1)
         q = 2.0 * np.pi * np.arange(modes) / n_spins
-        for got, want in zip(adiabatic._momentum_products(params, sch, q),
-                             half_spectrum_products(params, sch)):
+        products, starts = traced_products(params, sch, q)
+        if boundary == "block":  # inside the first chunk
+            assert starts == [0] and (sch.steps + 1 - offset) % m == 0
+        else:
+            assert_near_boundary(starts, sch.steps, chunk, offset)
+        for got, want in zip(products, half_spectrum_products(params, sch)):
             assert np.abs(got - want).max() <= 1e-11
 
     def test_rotation_at_512_spins(self):
@@ -420,6 +452,19 @@ class TestBlockedProduct:
         matchgate.assert_rotation(rot)
         assert abs(matchgate.expectation_quadratic(rot, matchgate.observable_b_coefficients(512))
                    - adiabatic.momentum_b(params, sch)) < 1e-12
+
+    def test_products_at_1024_spins(self):
+        # blocks of m = 32 against the plain product, and <B> from their k = 1
+        # entry, (1 - Re(a^2 + b^2))/2, against the one-momentum kernel
+        params = IsingParams(1024, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=0.3 * 1024**2, steps=30000)
+        q = 2.0 * np.pi * np.arange(513) / 1024
+        assert adiabatic._block_size(q.size) == 32
+        a, b = adiabatic._momentum_products(params, sch, q)
+        for got, want in zip((a, b), half_spectrum_products(params, sch)):
+            assert np.abs(got - want).max() <= 1e-11
+        b_value = 0.5 * (1.0 - (a[1] * a[1] + b[1] * b[1]).real)
+        assert abs(b_value - adiabatic.momentum_b(params, sch)) < 1e-12
 
 
 class TestMomentumKernel:
@@ -440,7 +485,7 @@ class TestMomentumKernel:
         # L + 1 steps filling one whole single-momentum chunk, and one past it
         params = IsingParams(n_spins, field_b=1.0, coupling_j=1.0)
         sch = TrotterSchedule(total_time=10.0 * n_spins**2,
-                              steps=adiabatic._CHUNK_ENTRIES - 1 + offset)
+                              steps=adiabatic._chunk_blocks(1, 1) - 1 + offset)
         assert abs(adiabatic.momentum_b(params, sch)
                    - circuit.expectation_b_gate(params, sch)) < 1e-12
 
