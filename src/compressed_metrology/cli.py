@@ -8,6 +8,9 @@ as it is, or the body of a JSON report.  ``main`` wraps a body with the
 schema, command and configuration, adds ``passed`` when the body lists
 ``failures``, and exits 1 only when that list is nonempty.
 
+Every command but ``dump`` runs the chain at J = 1 and B = g; each Trotter
+angle is a multiple of J*Delta, so a run at J is the run at J = 1 over |J|*T.
+
 Option precedence: command-line flags > --config JSON file > defaults.
 """
 
@@ -49,7 +52,6 @@ _OPTIONS = {
     "window": (float, True, "calibration search window lo,hi"),
     "t_total": (float, False, "adiabatic duration T (default 10 N^2)"),
     "l_steps": (int, False, "Trotter step count L (default L + 1 = ceil(T/0.1))"),
-    "analytic_tol": (float, False, "also check |analytic - matrix| against this tolerance"),
     "format": (str, False, "csv or json"),
     "out": (str, False, "output path (default stdout)"),
 }
@@ -192,16 +194,6 @@ def _check_ratios(ratios: list[float]) -> None:
             _usage_error(f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
 
 
-def _check_couplings(cfg: dict) -> None:
-    """Usage error at J = 0 (g = B/J is undefined) or where a field g*J or a closed form overflows."""
-    if cfg["j"] == 0:
-        _usage_error(f"--j must be nonzero (g = B/J), got {cfg['j']}")
-    for g in cfg["g"]:
-        if not math.isfinite(g * cfg["j"]):
-            _usage_error(f"couplings must be finite, got g = {g} and B = g*J = {g * cfg['j']}")
-    _check_ratios(cfg["g"])
-
-
 def _one(cfg: dict, key: str, command: str):
     """The single value of a list option that ``command`` reads once."""
     if len(cfg[key]) != 1:
@@ -333,20 +325,19 @@ def cmd_scaling(cfg: dict) -> dict:
 
 def cmd_compare(cfg: dict) -> dict:
     """<B> five ways per (N, g): closed form, rotation, k = 1 kernel, gate circuit, dense state."""
-    _check_couplings(cfg)
+    _check_ratios(cfg["g"])
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=True, chain=True)
     if sizes[-1] > 8:
         _usage_error("compare runs the gate/dense legs; N <= 8 required")
-    couplings = [(g * cfg["j"], cfg["j"]) for g in cfg["g"]]
-    schedules = [(n, _schedule_from(cfg, n, couplings)) for n in sizes]
+    schedules = [(n, _schedule_from(cfg, n, [(g, 1.0) for g in cfg["g"]])) for n in sizes]
     failures = []
     rows = []
     for n, schedule in schedules:
         b_coeffs = matchgate.observable_b_coefficients(n)
         b_dense = dense.observable_b_dense(n)
         for g in sorted(cfg["g"]):
-            params = ising.IsingParams(n, field_b=g * cfg["j"], coupling_j=cfg["j"])
+            params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
             analytic = ising.expected_b(g, n)
             rot = adiabatic.adiabatic_rotation(params, schedule)
             matrix = matchgate.expectation_quadratic(rot, b_coeffs)
@@ -365,11 +356,6 @@ def cmd_compare(cfg: dict) -> dict:
                 failures.append(f"kernel/gate mismatch {row['delta_kernel_gate']:.2e} at N={n} g={g}")
             if row["delta_dense_matrix"] >= DENSE_MATRIX_TOL:
                 failures.append(f"dense/matrix mismatch {row['delta_dense_matrix']:.2e} at N={n} g={g}")
-            if cfg["analytic_tol"] is not None and row["delta_analytic_matrix"] > cfg["analytic_tol"]:
-                failures.append(
-                    f"analytic delta {row['delta_analytic_matrix']:.2e} above "
-                    f"{cfg['analytic_tol']:.2e} at N={n} g={g}"
-                )
     return {"rows": rows, "failures": failures}
 
 
@@ -385,7 +371,6 @@ def estimation_run(
     reps: int,
     seed: int,
     window: tuple[float, float],
-    coupling_j: float = 1.0,
 ) -> dict:
     """<B> once -> one binomial +1 count per repetition -> closed-form inversion of all counts.
 
@@ -394,7 +379,7 @@ def estimation_run(
     from its exact law, Binomial(shots, (1 + <Y>)/2) with <Y> = 1 - 2 <B>;
     the count fixes the shot mean, which is all the estimator reads.
     """
-    params = ising.IsingParams(n, field_b=g_star * coupling_j, coupling_j=coupling_j)
+    params = ising.IsingParams(n, field_b=g_star, coupling_j=1.0)
     circuit_b = adiabatic.momentum_b(params, schedule)
     counts = circuit.count_ym(1.0 - 2.0 * circuit_b, shots, reps, seed)
     estimates, clamped = metrology.estimate_counts(counts, shots, n, window=window)
@@ -420,7 +405,7 @@ def estimation_run(
 
 
 def cmd_estimate(cfg: dict) -> dict:
-    _check_couplings(cfg)
+    _check_ratios(cfg["g"])
     if cfg["seed"] is None:
         _usage_error("--seed is mandatory for stochastic commands")
     window = cfg["window"]
@@ -430,9 +415,9 @@ def cmd_estimate(cfg: dict) -> dict:
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
     _delta_g_sq(metrology.precision_b, g_star, [n], cfg["shots"])  # finite before the circuit runs
-    schedule = _schedule_from(cfg, n, [(g_star * cfg["j"], cfg["j"])])
+    schedule = _schedule_from(cfg, n, [(g_star, 1.0)])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
-                            tuple(cfg["window"]), coupling_j=cfg["j"])
+                            tuple(cfg["window"]))
     report.update(_schedule_meta(schedule))
     failures = []
     if not 0.5 <= report["mse_over_prediction"] <= 2.0:
@@ -536,10 +521,9 @@ _COMMANDS = {
                 {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
                  "shots": 1, "out": None}),
     "compare": (cmd_compare, "analytic vs matrix vs kernel vs gate vs dense <B>",
-                {"n": [4], "g": [0.5, 1.0, 1.5], "j": 1.0, **_SCHEDULE,
-                 "analytic_tol": None, "out": None}),
+                {"n": [4], "g": [0.5, 1.0, 1.5], **_SCHEDULE, "out": None}),
     "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",
-                 {"n": [16], "g": [1.0], "j": 1.0, "shots": 10_000, "reps": 200,
+                 {"n": [16], "g": [1.0], "shots": 10_000, "reps": 200,
                   "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "out": None}),
     "dump": (cmd_dump, "write the gate program of R^T(B, J)",
              {"n": [4], "b": 1.0, "j": 1.0, **_SCHEDULE, "out": None}),

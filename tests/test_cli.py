@@ -82,7 +82,7 @@ class TestReportEnvelope:
         ["scaling"],
         ["scaling", "--n", "8,16", "--n-magnetization", "8,16"],
         ["compare", "--n", "4", "--g", "1.0", "--l-steps", "8"],
-        ["compare", "--n", "4", "--g", "1.0", "--l-steps", "8", "--analytic-tol", "1e-6"],
+        ["compare", "--n", "4,8", "--g", "0.5", "--l-steps", "8"],
         ["estimate", "--n", "4", "--g", "1.0", "--l-steps", "2048", "--shots", "2000",
          "--reps", "50", "--seed", "7"],
         ["estimate", "--n", "8", "--g", "1.1", "--t-total", "640", "--l-steps", "512",
@@ -277,11 +277,12 @@ class TestUsageErrors:
                                              "N=4, T=1e+200, L=8"),
         (["dump", "--t-total", "1e308"], "the Trotter proxy L*Delta^2 is not finite at "
                                          "N=4, T=1e+308, L=1"),
-        (["compare", "--g", "1", "--j", "1e308", "--t-total", "10"],
+        # Only dump sets B and J; every other command runs J = 1 and B = g.
+        (["dump", "--n", "4", "--b", "1e308", "--t-total", "10", "--l-steps", "8"],
          "the field angle 4|B|Delta at B = 1e+308 is not finite at N=4, T=10.0, L=8"),
-        (["estimate", "--j", "1e308", "--t-total", "10"],
-         "the field angle 4|B|Delta at B = 1e+308 is not finite at N=4, T=10.0, L=8"),
-        (["compare", "--g", "1e-10", "--j", "1e308", "--t-total", "10"],
+        (["dump", "--n", "4", "--b=-1e308", "--t-total", "10", "--l-steps", "8"],
+         "the field angle 4|B|Delta at B = -1e+308 is not finite at N=4, T=10.0, L=8"),
+        (["dump", "--n", "4", "--b", "1e-10", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
          "the interaction angle 2|J|Delta at J = 1e+308 is not finite at N=4, T=10.0, L=8"),
         # on the default step count, without BASE's --l-steps: L + 1 = T/0.1 = 1e201
         (["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200"],
@@ -346,21 +347,14 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE["sweep"], "--n", "4", "--config", str(cfg)],
                            'format must be one of csv, json, got "xml"')
 
-    @pytest.mark.parametrize("command", ["compare", "estimate"])
-    def test_zero_coupling(self, capsys, command):
-        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--j", "0"],
-                           "--j must be nonzero (g = B/J), got 0.0")
-
-    def test_zero_coupling_in_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"j": 0}))
-        assert_usage_error(capsys, [*self.BASE["compare"], "--n", "4", "--config", str(cfg)],
-                           "--j must be nonzero (g = B/J), got 0")
-
     @pytest.mark.parametrize("argv,message", [
         (["estimate", "--n", "abc"], "argument --n: invalid int list value: 'abc'"),
         (["oracle", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         (["dump", "--g", "0.5"], "unrecognized arguments: --g 0.5"),
+        # compare and estimate run J = 1; a J would only rescale T.
+        (["compare", "--j", "1"], "unrecognized arguments: --j 1"),
+        (["estimate", "--j", "1"], "unrecognized arguments: --j 1"),
+        (["compare", "--analytic-tol", "1e-6"], "unrecognized arguments: --analytic-tol 1e-6"),
     ])
     def test_parser_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -379,23 +373,13 @@ class TestUsageErrors:
         (None, "--config: [Errno 2] No such file or directory"),
         ("{", "--config: Expecting property name"),
         ("[1, 2]", "--config must hold a JSON object, got [1, 2]"),
+        ('{"j": 1.0}', "unknown config keys: ['j']"),
     ])
     def test_unreadable_config(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         if text is not None:
             cfg.write_text(text)
         assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
-
-    # The ids stay those of the cases' first positions, after a third case
-    # (compare --b 1e308 --j 1e-308) that went with compare's --b.
-    @pytest.mark.parametrize("command,extra", [
-        pytest.param("compare", ["--g", "1e200", "--j", "1e200"], id="compare-extra1"),
-        pytest.param("estimate", ["--g", "1e200", "--j", "1e200"], id="estimate-extra2"),
-    ])
-    def test_nonfinite_coupling(self, capsys, command, extra):
-        # Finite options whose field B = g*J overflows.
-        assert_usage_error(capsys, [*self.BASE[command], "--n", "4", *extra],
-                           "couplings must be finite, got g = ")
 
     @pytest.mark.parametrize("command,extra,config,message", [
         ("sweep", ["--g", "nan"], None, "--g must be finite, got nan"),
@@ -406,7 +390,6 @@ class TestUsageErrors:
         ("estimate", ["--window", "0.5,inf"], None, "--window must be finite, got 0.5,inf"),
         ("estimate", [], '{"g": [1.0, NaN]}', "--g must be finite, got 1.0,nan"),
         ("compare", [], '{"t_total": -Infinity}', "--t-total must be finite, got -inf"),
-        ("compare", [], '{"analytic_tol": 1e400}', "--analytic-tol must be finite, got inf"),
         pytest.param("dump", [], '{"j": 1' + "0" * 400 + '}', "--j must be finite, got 1000",
                      id="int-past-the-float-range"),
     ])
@@ -465,12 +448,25 @@ class TestCompare:
         assert code == 1 and len(payload["failures"]) == 1
         assert payload["failures"][0].startswith("kernel/gate mismatch 1.00e-06 at N=4 g=1.0")
 
-    def test_analytic_tolerance_failure(self, tmp_path):
-        code, data = run(tmp_path, "compare", "--n", "4", "--g", "1.0", "--l-steps", "8",
-                         "--analytic-tol", "1e-6")
-        payload = json.loads(data)
-        assert code == 1 and not payload["passed"]
-        assert any("analytic delta" in f for f in payload["failures"])
+    @pytest.mark.parametrize("n_spins,total_time,steps", [(4, 160.0, 2048), (8, 64.0, 999)])
+    @pytest.mark.parametrize("g", [0.8, 1.0, 1.2])
+    @pytest.mark.parametrize("coupling", [0.7, 1.3, -0.9, -1.0])
+    def test_coupling_only_rescales_time(self, n_spins, total_time, steps, g, coupling):
+        """Why compare has no --j: each leg's <B> at (g, J, T) is its <B> at (g, 1, |J| T)."""
+        def legs(params, schedule):
+            rot = adiabatic.adiabatic_rotation(params, schedule)
+            return (adiabatic.momentum_b(params, schedule),
+                    matchgate.expectation_quadratic(
+                        rot, matchgate.observable_b_coefficients(n_spins)),
+                    circuit.expectation_b_gate(params, schedule),
+                    dense.expectation(dense.trotter_evolve(params, schedule),
+                                      dense.observable_b_dense(n_spins)))
+
+        scaled = legs(ising.IsingParams(n_spins, field_b=g * coupling, coupling_j=coupling),
+                      adiabatic.TrotterSchedule(total_time, steps))
+        unit = legs(ising.IsingParams(n_spins, field_b=g, coupling_j=1.0),
+                    adiabatic.TrotterSchedule(abs(coupling) * total_time, steps))
+        assert max(abs(a - b) for a, b in zip(scaled, unit)) < 1e-12
 
     def test_one_dense_observable_per_size(self, tmp_path, monkeypatch):
         """The dense <B> operator and its Majorana coefficients are each built once per N."""
@@ -755,9 +751,8 @@ def test_every_public_name_has_a_caller():
     ["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200", "--l-steps", "8"],
     ["oracle", "--n", "4", "--g", "4e307", "--t-total", "1", "--l-steps", "8"],
-    ["compare", "--n", "4", "--g", "1", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
-    ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--j", "1e308", "--t-total", "10",
-     "--l-steps", "8"],
+    ["dump", "--n", "4", "--b", "1e308", "--t-total", "10", "--l-steps", "8"],
+    ["dump", "--n", "4", "--b", "1e-10", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200"],
 ])
 def test_reports_are_strict_json(tmp_path, argv):
