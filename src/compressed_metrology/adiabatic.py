@@ -99,7 +99,7 @@ def build_schedule(
     """Schedule with defaults T = 10 N^2 and the fewest L >= 1 with Delta <= TROTTER_STEP.
 
     ``step_cap``, if given, bounds that default L.  A default L + 1 over 2^53
-    and a Trotter proxy L Delta^2 that is not finite raise ValueError.
+    raises ValueError.
     """
     if total_time is None:
         total_time = 10.0 * n_spins**2
@@ -114,11 +114,7 @@ def build_schedule(
     if total_time <= 0.0 or steps <= 0:
         raise ValueError(
             f"schedule needs positive total_time and steps, got T={total_time}, L={steps}")
-    schedule = TrotterSchedule(total_time=float(total_time), steps=int(steps))
-    if math.isinf(steps * schedule.delta * schedule.delta):
-        raise ValueError(f"the Trotter proxy L*Delta^2 is not finite at N={n_spins}, "
-                         f"T={schedule.total_time}, L={schedule.steps}")
-    return schedule
+    return TrotterSchedule(total_time=float(total_time), steps=int(steps))
 
 
 def _tree_layout(rows: int) -> np.ndarray:

@@ -6,7 +6,8 @@ across invocations.  Each ``cmd_<name>(cfg)`` handler takes the resolved
 configuration and returns either text (the sweep CSV, the gate dump), written
 as it is, or the body of a JSON report.  ``main`` wraps a body with the
 schema, command and configuration, adds ``passed`` when the body lists
-``failures``, and exits 1 only when that list is nonempty.
+``failures``, and exits 1 only when that list is nonempty; a body holding
+NaN or an infinity raises ValueError instead of being written.
 
 Every command but ``dump`` runs the chain at J = 1 and B = g; each Trotter
 angle is a multiple of J*Delta, so a run at J is the run at J = 1 over |J|*T.
@@ -203,27 +204,26 @@ def _one(cfg: dict, key: str, command: str):
 
 def _schedule_from(cfg: dict, n_spins: int,
                    couplings: list[tuple[float, float]]) -> adiabatic.TrotterSchedule:
-    """The schedule at N = ``n_spins``; usage error unless its step quantities are finite.
+    """The schedule at N = ``n_spins``; usage error unless 4 N M max(T, 1) is finite.
 
-    ``couplings`` lists the (B, J) pairs that run on it.  ``build_schedule``
-    checks L and L*Delta^2; here the field angle 4|B|Delta and the largest
-    interaction angle 2|J|Delta go into every step's gates.
+    ``couplings`` lists the (B, J) pairs that run on it, and M is the largest
+    of their |B|, |J| and 1.  With Delta <= T/2 (L >= 1) the bound covers every
+    number the chain forms: the step angles 2|B|Delta, 4|B|Delta and
+    2|J|Delta, the tau intermediate 2 l Delta < 2T, the dense phases N|B|Delta
+    and N|J|Delta, and the dense Hamiltonian's diagonal N|B|.
     """
     try:
         schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"])
     except ValueError as exc:
         _usage_error(str(exc))
-    delta = schedule.delta
-    for b, j in couplings:
-        for name, value in ((f"the field angle 4|B|Delta at B = {b}", 4.0 * abs(b) * delta),
-                            (f"the interaction angle 2|J|Delta at J = {j}", 2.0 * abs(j) * delta)):
-            if not math.isfinite(value):
-                _usage_error(f"{name} is not finite at N={n_spins}, "
-                             f"T={schedule.total_time}, L={schedule.steps}")
+    m = max([1.0, *(abs(x) for coupling in couplings for x in coupling)])
+    if math.isinf(4.0 * n_spins * m * max(schedule.total_time, 1.0)):
+        _usage_error(f"the phase bound 4*N*M*max(T, 1), M = max(|B|, |J|, 1), is not finite "
+                     f"at N={n_spins}, M={m}, T={schedule.total_time}")
     return schedule
 
 
-def _delta_g_sq(point, g: float, sizes: list[int], shots: int) -> dict[str, float]:
+def _delta_g_sq(point, g: float, sizes: list[int], shots: int = 1) -> dict[str, float]:
     """{N: delta g^2} by ``metrology.precision_b`` or ``precision_m``; usage error unless finite."""
     values = {}
     for n in sizes:
@@ -275,7 +275,7 @@ def cmd_sweep(cfg: dict) -> dict | str:
 
 def cmd_scaling(cfg: dict) -> dict:
     """Scaling fits plus the acceptance windows."""
-    g, shots = _one(cfg, "g", "scaling"), cfg["shots"]
+    g = _one(cfg, "g", "scaling")
     _check_ratios([g])
     n_list_b = [2**k for k in range(3, 11)] if cfg["n"] is None else cfg["n"]
     n_list_m = cfg["n_magnetization"]
@@ -284,8 +284,8 @@ def cmd_scaling(cfg: dict) -> dict:
         if len(sizes) < 2 or len(set(sizes)) != len(sizes):
             _usage_error(f"{flag} needs at least two sizes, none repeated, for the fit, "
                          f"got {','.join(map(str, sizes))}")
-    delta_g_sq_b = _delta_g_sq(metrology.precision_b, g, n_list_b, shots)
-    delta_g_sq_m = _delta_g_sq(metrology.precision_m, g, n_list_m, shots)
+    delta_g_sq_b = _delta_g_sq(metrology.precision_b, g, n_list_b)
+    delta_g_sq_m = _delta_g_sq(metrology.precision_m, g, n_list_m)
     fit_b = metrology.fit_power_law(n_list_b, list(delta_g_sq_b.values()))
     fit_m = metrology.fit_power_law(n_list_m, list(delta_g_sq_m.values()))
     var_b_tail = {n: ising.variance_b(g, n) for n in n_list_b if n >= 64}
@@ -466,10 +466,6 @@ def cmd_oracle(cfg: dict) -> dict:
     _check_sizes(sizes, curves=False, chain=True)
     if sizes[-1] > 10:
         _usage_error("oracle is capped at N <= 10")
-    for g in cfg["g"]:  # the diagonal of H reaches |B| N, with B = g
-        if math.isinf(g * sizes[-1]):
-            _usage_error(f"the field term B*N of the dense Hamiltonian is not finite "
-                         f"at N={sizes[-1]}, g={g}")
     schedules = [(n, _schedule_from(cfg, n, [(g, 1.0) for g in cfg["g"]])) for n in sizes]
     rows = []
     for n, schedule in schedules:
@@ -519,7 +515,7 @@ _COMMANDS = {
               {"n": [4, 8, 16], "g": None, "format": "csv", "out": None}),
     "scaling": (cmd_scaling, "precision-scaling fits and windows",
                 {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
-                 "shots": 1, "out": None}),
+                 "out": None}),
     "compare": (cmd_compare, "analytic vs matrix vs kernel vs gate vs dense <B>",
                 {"n": [4], "g": [0.5, 1.0, 1.5], **_SCHEDULE, "out": None}),
     "estimate": (cmd_estimate, "full estimation pipeline, Monte Carlo",
@@ -553,20 +549,21 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _resolve(args)
     out = cfg.pop("out")
     created = bool(out) and _check_out(out)  # before any work runs
+    passed = True
     try:
-        body = _COMMANDS[args.command][0](cfg)
+        body = text = _COMMANDS[args.command][0](cfg)
+        if not isinstance(body, str):
+            report = {"schema": SCHEMA_VERSION, "command": args.command, "config": cfg, **body}
+            if "failures" in body:
+                passed = report["passed"] = not body["failures"]
+            # JSON has no NaN or Infinity: a report holding one raises ValueError here.
+            text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except BaseException:
         if created:  # stopped before writing: leave no empty file behind
             os.remove(out)
         raise
-    if isinstance(body, str):
-        _emit(body, out)
-        return 0
-    report = {"schema": SCHEMA_VERSION, "command": args.command, "config": cfg, **body}
-    if "failures" in body:
-        report["passed"] = not body["failures"]
-    _emit(json.dumps(report, indent=2) + "\n", out)
-    return 0 if report.get("passed", True) else 1
+    _emit(text, out)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

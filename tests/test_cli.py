@@ -27,6 +27,10 @@ def run(tmp_path, *argv, out_name="out"):
     return code, out.read_bytes()
 
 
+# The one schedule check of every command that runs the chain; the message ends "at N, M, T".
+PHASE_BOUND = "the phase bound 4*N*M*max(T, 1), M = max(|B|, |J|, 1), is not finite"
+
+
 def assert_usage_error(capsys, argv, message):
     """Exit 2 with one stderr line that carries ``message``."""
     with pytest.raises(SystemExit) as exc:
@@ -218,24 +222,6 @@ class TestUsageErrors:
                            f"{flag} needs at least two sizes, none repeated, for the fit, "
                            f"got {value}")
 
-    @pytest.mark.parametrize("extra,config,message", [
-        (["--shots", "0"], None, "--shots must be at least 1, got 0"),
-        (["--shots", "-3"], None, "--shots must be at least 1, got -3"),
-        ([], '{"shots": 0}', "--shots must be at least 1, got 0"),
-    ])
-    def test_scaling_shots_below_one(self, tmp_path, monkeypatch, capsys, extra, config, message):
-        # The same check as estimate's (TestEstimate), made once for every command.
-        def not_reached(*args, **kwargs):
-            raise AssertionError("a fit ran before the shots were checked")
-
-        monkeypatch.setattr(metrology, "fit_power_law", not_reached)
-        argv = ["scaling", *extra]
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(config)
-            argv += ["--config", str(cfg)]
-        assert_usage_error(capsys, argv, message)
-
     @pytest.mark.parametrize("argv,g", [
         (["sweep", "--n", "4", "--g", "1e300"], "1e+300"),
         (["scaling", "--n", "8,16", "--g", "1e300"], "1e+300"),
@@ -269,24 +255,23 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE[argv[0]], *argv[1:]], message)
 
     @pytest.mark.parametrize("argv,message", [
-        (["compare", "--t-total", "1e308"], "the Trotter proxy L*Delta^2 is not finite at "
-                                            "N=4, T=1e+308, L=8"),
-        (["oracle", "--t-total", "1e200"], "the Trotter proxy L*Delta^2 is not finite at "
-                                           "N=4, T=1e+200, L=8"),
-        (["estimate", "--t-total", "1e200"], "the Trotter proxy L*Delta^2 is not finite at "
-                                             "N=4, T=1e+200, L=8"),
-        (["dump", "--t-total", "1e308"], "the Trotter proxy L*Delta^2 is not finite at "
-                                         "N=4, T=1e+308, L=1"),
+        (["compare", "--t-total", "1e308"], f"{PHASE_BOUND} at N=4, M=1.5, T=1e+308"),
+        (["oracle", "--t-total", "1e308"], f"{PHASE_BOUND} at N=4, M=1.0, T=1e+308"),
+        (["estimate", "--t-total", "1e308"], f"{PHASE_BOUND} at N=4, M=1.0, T=1e+308"),
+        (["dump", "--t-total", "1e308"], f"{PHASE_BOUND} at N=4, M=1.0, T=1e+308"),
         # Only dump sets B and J; every other command runs J = 1 and B = g.
         (["dump", "--n", "4", "--b", "1e308", "--t-total", "10", "--l-steps", "8"],
-         "the field angle 4|B|Delta at B = 1e+308 is not finite at N=4, T=10.0, L=8"),
+         f"{PHASE_BOUND} at N=4, M=1e+308, T=10.0"),
         (["dump", "--n", "4", "--b=-1e308", "--t-total", "10", "--l-steps", "8"],
-         "the field angle 4|B|Delta at B = -1e+308 is not finite at N=4, T=10.0, L=8"),
+         f"{PHASE_BOUND} at N=4, M=1e+308, T=10.0"),
         (["dump", "--n", "4", "--b", "1e-10", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
-         "the interaction angle 2|J|Delta at J = 1e+308 is not finite at N=4, T=10.0, L=8"),
+         f"{PHASE_BOUND} at N=4, M=1e+308, T=10.0"),
         # on the default step count, without BASE's --l-steps: L + 1 = T/0.1 = 1e201
         (["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200"],
          "the default schedule at N=4, T=1e+200 needs L + 1 = 1e+201 steps, more than 2^53"),
+        # the dense phase N|B|Delta overflows here, though no step angle 4|B|Delta does
+        (["oracle", "--n", "8", "--g", "1e300", "--t-total", "6e7", "--l-steps", "1"],
+         f"{PHASE_BOUND} at N=8, M=1e+300, T=60000000.0"),
     ])
     def test_step_quantity_past_the_float_range(self, capsys, argv, message):
         if "--n" not in argv:  # a case that names N is a whole command line
@@ -355,6 +340,8 @@ class TestUsageErrors:
         (["compare", "--j", "1"], "unrecognized arguments: --j 1"),
         (["estimate", "--j", "1"], "unrecognized arguments: --j 1"),
         (["compare", "--analytic-tol", "1e-6"], "unrecognized arguments: --analytic-tol 1e-6"),
+        # scaling reports one-shot delta g^2; a shot count only divides them all
+        (["scaling", "--shots", "3"], "unrecognized arguments: --shots 3"),
     ])
     def test_parser_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
@@ -409,7 +396,7 @@ class TestScaling:
         precision_b = metrology.precision_b
         monkeypatch.setattr(metrology, "precision_b",
                             lambda g, n, shots=1: calls.append(n) or precision_b(g, n, shots))
-        code, data = run(tmp_path, "scaling", "--n", "8,16,32,64", "--shots", "3")
+        code, data = run(tmp_path, "scaling", "--n", "8,16,32,64")
         report = json.loads(data)
         assert code == 0 and calls == [8, 16, 32, 64]
         for obs in ("b", "m"):
@@ -550,13 +537,13 @@ class TestEstimate:
                       "--l-steps", "2048", "--shots", "10000", "--reps", "4000", "--seed", "1")
         assert code == 0
 
-    def test_infinite_proxy_is_one_error_line_without_a_budget_warning(self, tmp_path, capsys):
+    def test_unbounded_phases_are_one_error_line_without_a_warning(self, tmp_path, capsys):
         out = tmp_path / "new.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any warning would end the run here
             assert_usage_error(capsys, ["estimate", "--n", "4", "--g", "1", "--seed", "1",
-                                        "--t-total", "1e200", "--l-steps", "8", "--out", str(out)],
-                               "the Trotter proxy L*Delta^2 is not finite at N=4, T=1e+200, L=8")
+                                        "--t-total", "1e308", "--l-steps", "8", "--out", str(out)],
+                               f"{PHASE_BOUND} at N=4, M=1.0, T=1e+308")
         assert not out.exists()
 
     def test_builds_one_schedule(self, tmp_path, monkeypatch):
@@ -679,17 +666,35 @@ class TestOracle:
         assert code == 0 and row["qfi"] == pytest.approx(ising.qfi(1e-4, 4), rel=1e-12)
 
     def test_field_term_past_the_float_range(self, tmp_path, capsys):
-        # 8 * 4e307 overflows; 4 * 4e307 and 8 * 1e300 do not
+        # 4 * 4 * 4e307 overflows at the first size; 4 * 8 * 1e300 does not
         out = tmp_path / "new.json"
         assert_usage_error(capsys, ["oracle", "--n", "4,8", "--g", "1,4e307", "--t-total", "1",
                                     "--l-steps", "8", "--out", str(out)],
-                           "the field term B*N of the dense Hamiltonian is not finite "
-                           "at N=8, g=4e+307")
+                           f"{PHASE_BOUND} at N=4, M=4e+307, T=1.0")
         assert not out.exists()
         code, data = run(tmp_path, "oracle", "--n", "8", "--g", "1e300", "--t-total", "1",
                          "--l-steps", "8")
         row = json.loads(data, parse_constant=lambda c: pytest.fail(f"{c} in the report"))["rows"][0]
         assert code == 0 and row["parity"] == pytest.approx(1.0)
+
+    def test_long_steps_write_a_finite_report(self, tmp_path):
+        # Delta = 1.1e199: L * Delta^2 overflows, but no angle or phase the chain forms does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, data = run(tmp_path, "oracle", "--n", "4,8", "--g", "1", "--t-total", "1e200",
+                             "--l-steps", "8")
+        rows = json.loads(data, parse_constant=lambda c: pytest.fail(f"{c} in the report"))["rows"]
+        assert code == 0 and [row["n"] for row in rows] == [4, 8]
+        assert all(0.0 <= row["trotter_overlap_sq"] <= 1.0 + 1e-12 for row in rows)
+
+    def test_nan_in_a_report_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        even_ground = dense.even_ground
+        monkeypatch.setattr(dense, "even_ground",
+                            lambda params: (*even_ground(params)[:2], math.nan))
+        out = tmp_path / "new.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            main(["oracle", "--n", "4", "--l-steps", "8", "--out", str(out)])
+        assert not out.exists()
 
 
 def test_option_table_has_no_dead_keys():
@@ -740,7 +745,7 @@ def test_every_public_name_has_a_caller():
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "json"],
     ["scaling"],
-    ["scaling", "--shots", "7", "--g", "0.9"],
+    ["scaling", "--g", "0.9"],
     ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "32"],
     list(TestEstimate.ARGS),
     ["oracle", "--n", "4", "--g", "1.0", "--t-total", "160", "--l-steps", "1024"],
@@ -754,6 +759,7 @@ def test_every_public_name_has_a_caller():
     ["dump", "--n", "4", "--b", "1e308", "--t-total", "10", "--l-steps", "8"],
     ["dump", "--n", "4", "--b", "1e-10", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200"],
+    ["oracle", "--n", "8", "--g", "1e300", "--t-total", "6e7", "--l-steps", "1"],
 ])
 def test_reports_are_strict_json(tmp_path, argv):
     """A report holds no NaN or Infinity, which JSON does not have; a usage error writes none."""

