@@ -222,6 +222,20 @@ class TestUsageErrors:
                            f"{flag} needs at least two sizes, none repeated, for the fit, "
                            f"got {value}")
 
+    @pytest.mark.parametrize("extra,config,message", [
+        (["--shots", "0"], None, "--shots must be at least 1, got 0"),
+        (["--shots", "-3"], None, "--shots must be at least 1, got -3"),
+        ([], '{"shots": 0}', "--shots must be at least 1, got 0"),
+    ])
+    def test_shots_below_one(self, tmp_path, capsys, extra, config, message):
+        # A config value meets the same check as a flag.
+        argv = [*self.BASE["estimate"], *extra]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert_usage_error(capsys, argv, message)
+
     @pytest.mark.parametrize("argv,g", [
         (["sweep", "--n", "4", "--g", "1e300"], "1e+300"),
         (["scaling", "--n", "8,16", "--g", "1e300"], "1e+300"),
