@@ -25,6 +25,7 @@ import math
 import os
 import stat
 import sys
+from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
@@ -204,13 +205,17 @@ def _one(cfg: dict, key: str, command: str):
 
 def _schedule_from(cfg: dict, n_spins: int,
                    couplings: list[tuple[float, float]]) -> adiabatic.TrotterSchedule:
-    """The schedule at N = ``n_spins``; usage error unless 4 N M max(T, 1) is finite.
+    """The schedule at N = ``n_spins``; usage error unless 4 N M max(T, 1) is finite
+    and 4 M Delta eps is at most MATRIX_GATE_TOL.
 
     ``couplings`` lists the (B, J) pairs that run on it, and M is the largest
-    of their |B|, |J| and 1.  With Delta <= T/2 (L >= 1) the bound covers every
-    number the chain forms: the step angles 2|B|Delta, 4|B|Delta and
+    of their |B|, |J| and 1.  With Delta <= T/2 (L >= 1) the first bound covers
+    every number the chain forms: the step angles 2|B|Delta, 4|B|Delta and
     2|J|Delta, the tau intermediate 2 l Delta < 2T, the dense phases N|B|Delta
-    and N|J|Delta, and the dense Hamiltonian's diagonal N|B|.
+    and N|J|Delta, and the dense Hamiltonian's diagonal N|B|.  The second keeps
+    the largest step angle 4 M Delta where a float, which holds it to eps times
+    its size, resolves its phase to the tolerance the legs are compared at;
+    past it each leg reduces the angle mod 2 pi through its own roundings.
     """
     try:
         schedule = adiabatic.build_schedule(n_spins, cfg["t_total"], cfg["l_steps"])
@@ -220,6 +225,10 @@ def _schedule_from(cfg: dict, n_spins: int,
     if math.isinf(4.0 * n_spins * m * max(schedule.total_time, 1.0)):
         _usage_error(f"the phase bound 4*N*M*max(T, 1), M = max(|B|, |J|, 1), is not finite "
                      f"at N={n_spins}, M={m}, T={schedule.total_time}")
+    if 4.0 * m * schedule.delta * sys.float_info.epsilon > MATRIX_GATE_TOL:
+        _usage_error(f"the step angle 4*M*Delta, M = max(|B|, |J|, 1), is too large for a float "
+                     f"to resolve its phase (4*M*Delta*eps > {MATRIX_GATE_TOL:g}) "
+                     f"at M={m}, Delta={schedule.delta:.6g}")
     return schedule
 
 
@@ -528,6 +537,7 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cmetro",

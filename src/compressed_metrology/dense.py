@@ -15,8 +15,16 @@
 # j -> j+1, then Z on site 0) commutes with H and fixes |0..0>.  The branch
 # grown from |0..0>, which ising's closed forms describe, is solved and evolved
 # in the even states the shift fixes, through one real eigh (_symmetric_eigh).
+#
+# What depends on N alone (popcounts, parity_diag, symmetric_basis,
+# observable_b_dense and the bond sum's eigenpairs) is built once per process
+# per N and returned read-only, so repeated oracle points at one N share it;
+# the largest the CLI can hold is b_1^dag b_1 at N = 8, 1 MB (its sizes are
+# powers of two, so oracle's cap N <= 10 admits none larger).
 
 from __future__ import annotations
+
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -34,6 +42,20 @@ def _check_operator_size(n_spins: int) -> None:
         raise ValueError(f"dense operators capped at N={_MAX_OPERATOR_SPINS}, got {n_spins}")
 
 
+def _per_size(build):
+    """``build``, cached by N, with its arrays made read-only."""
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def built(n_spins: int):
+        out = build(n_spins)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        return out
+
+    return built
+
+
+@_per_size
 def popcounts(n_spins: int) -> np.ndarray:
     """Number of 1-bits (fermions / down spins) per computational basis index."""
     idx = np.arange(1 << n_spins, dtype=np.uint64)
@@ -44,6 +66,7 @@ def popcounts(n_spins: int) -> np.ndarray:
     return counts
 
 
+@_per_size
 def parity_diag(n_spins: int) -> np.ndarray:
     """Diagonal of Ztilde = prod_j Z_j: +1 on even-fermion-number states."""
     return np.where(popcounts(n_spins) % 2 == 0, 1.0, -1.0)
@@ -79,6 +102,12 @@ def _symmetric_eigh(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
     basis = symmetric_basis(params.n_spins)
     evals, vecs = np.linalg.eigh(basis.T @ (build_hamiltonian(params) @ basis))
     return evals, basis @ vecs
+
+
+@_per_size
+def _bond_eigh(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_symmetric_eigh`` of the bond sum H1 = +sum XX (B = 0, J = -1)."""
+    return _symmetric_eigh(IsingParams(n_spins, field_b=0.0, coupling_j=-1.0))
 
 
 def even_ground(params: IsingParams) -> tuple[float, np.ndarray, float]:
@@ -120,6 +149,7 @@ def qfi_pure(params: IsingParams) -> float:
     return even_ground(params)[2]
 
 
+@_per_size
 def observable_b_dense(n_spins: int) -> np.ndarray:
     """Occupation of the first Fourier fermion mode, b_1^dag b_1, as a dense matrix.
 
@@ -169,6 +199,7 @@ def variance(state: np.ndarray, op: np.ndarray) -> float:
     return var
 
 
+@_per_size
 def symmetric_basis(n_spins: int) -> np.ndarray:
     """Orthonormal real columns spanning the even states fixed by the twisted shift.
 
@@ -202,17 +233,18 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     Both layers commute with Ztilde and the twisted shift, so the state stays
     in the span of ``symmetric_basis``, which holds |0..0> (16 of the even
     sector's 128 states at N = 8).  There it is carried in the eigenbasis V of
-    H1 (``_symmetric_eigh``), where U0 is the matrix K = V^T diag(u0) V formed
-    once and a step is one small product psi <- phases_l * (K psi); the step
-    phases are exponentiated a chunk of steps at a time.  The output has the
+    H1 (``_bond_eigh``, solved once per N), where U0 is the matrix
+    K = V^T diag(u0) V formed once and a step is one small product
+    psi <- phases_l * (K psi); the step phases are exponentiated a chunk of
+    steps at a time.  The output has the
     bits of the per-step reduced loop kept in the test suite and exact zeros
     on the odd sector.
     """
     n = params.n_spins
     if n > _MAX_EVOLVE_SPINS:
         raise ValueError(f"dense evolution capped at N={_MAX_EVOLVE_SPINS}, got {n}")
-    # H1 = +sum XX; its eigenvectors in the symmetric subspace, embedded in the 2^N space.
-    w1, v1 = _symmetric_eigh(IsingParams(n, field_b=0.0, coupling_j=-1.0))
+    # H1's eigenvectors in the symmetric subspace, embedded in the 2^N space.
+    w1, v1 = _bond_eigh(n)
     # H0 = sum_j Z_j is diagonal.
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * popcounts(n)))
     k0 = v1.T @ (u0[:, None] * v1)

@@ -296,7 +296,7 @@ class TestCompiledRunner:
         compiled = run_circuit(params, sch)
         assert np.abs(compiled - self.interpreted(params, sch)).max() <= 1e-12
 
-    def test_gate_constructions_do_not_grow_with_steps(self, monkeypatch):
+    def test_gate_constructions_do_not_grow_with_steps(self, monkeypatch, clear_caches):
         count = 0
         validate = Gate.__post_init__
 
@@ -309,7 +309,7 @@ class TestCompiledRunner:
         params = IsingParams(8, field_b=0.9, coupling_j=1.1)
         counts = []
         for steps in (4, 512):
-            circuit._compiled_step.cache_clear()
+            clear_caches()
             count = 0
             run_circuit(params, TrotterSchedule(total_time=4.0, steps=steps))
             counts.append(count)
@@ -331,16 +331,12 @@ class TestCompiledRunner:
         assert np.array_equal(src, np.arange(1 << (m + 2)))
         assert np.all(phase == 1.0)
 
-    def test_compiled_step_builds_no_schedule(self, monkeypatch):
+    def test_compiled_step_builds_no_schedule(self, monkeypatch, clear_caches):
         def refuse(schedule):
             raise AssertionError("the compiled step built a TrotterSchedule")
 
         monkeypatch.setattr(TrotterSchedule, "__post_init__", refuse)
-        circuit._compiled_step.cache_clear()
-        try:
-            assert len(circuit._compiled_step(3)) == 4
-        finally:
-            circuit._compiled_step.cache_clear()
+        assert len(circuit._compiled_step(3)) == 4
 
 
 def binomial_fit_p_value(counts: np.ndarray, shots: int, p_plus: float) -> float:

@@ -29,6 +29,9 @@ def run(tmp_path, *argv, out_name="out"):
 
 # The one schedule check of every command that runs the chain; the message ends "at N, M, T".
 PHASE_BOUND = "the phase bound 4*N*M*max(T, 1), M = max(|B|, |J|, 1), is not finite"
+# Its second check, on the largest step angle; the message ends "at M, Delta".
+STEP_ANGLE = ("the step angle 4*M*Delta, M = max(|B|, |J|, 1), is too large for a float "
+              "to resolve its phase (4*M*Delta*eps > 1e-09)")
 
 
 def assert_usage_error(capsys, argv, message):
@@ -152,7 +155,8 @@ class TestOut:
 
     @pytest.mark.parametrize("argv,message", [
         (["compare", "--n", "16", "--g", "1.0"], "N <= 8 required"),
-        (["oracle", "--n", "8", "--g=-1e20", "--l-steps", "8"], "degenerate"),
+        (["oracle", "--n", "8", "--g=-1e20", "--t-total", "1e-14", "--l-steps", "8"],
+         "degenerate"),
     ])
     def test_usage_error_removes_new_file(self, tmp_path, capsys, argv, message):
         out = tmp_path / "new.json"
@@ -286,6 +290,16 @@ class TestUsageErrors:
         # the dense phase N|B|Delta overflows here, though no step angle 4|B|Delta does
         (["oracle", "--n", "8", "--g", "1e300", "--t-total", "6e7", "--l-steps", "1"],
          f"{PHASE_BOUND} at N=8, M=1e+300, T=60000000.0"),
+        # Delta = 1.1e199: every leg reduces its angles mod 2 pi through its own roundings
+        (["compare", "--n", "4,8", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
+         f"{STEP_ANGLE} at M=1.0, Delta=1.11111e+199"),
+        (["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
+         f"{STEP_ANGLE} at M=1.0, Delta=1.11111e+199"),
+        (["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200",
+          "--l-steps", "8"], f"{STEP_ANGLE} at M=1.0, Delta=1.11111e+199"),
+        # the field sets M: 4 * 9.1e6 * 10/9 * eps = 9.0e-9
+        (["dump", "--n", "4", "--b", "9.1e6", "--t-total", "10", "--l-steps", "8"],
+         f"{STEP_ANGLE} at M=9100000.0, Delta=1.11111"),
     ])
     def test_step_quantity_past_the_float_range(self, capsys, argv, message):
         if "--n" not in argv:  # a case that names N is a whole command line
@@ -469,7 +483,7 @@ class TestCompare:
                     adiabatic.TrotterSchedule(abs(coupling) * total_time, steps))
         assert max(abs(a - b) for a, b in zip(scaled, unit)) < 1e-12
 
-    def test_one_dense_observable_per_size(self, tmp_path, monkeypatch):
+    def test_one_dense_observable_per_size(self, tmp_path, monkeypatch, clear_caches):
         """The dense <B> operator and its Majorana coefficients are each built once per N."""
         sizes = {}
         for module, name in ((dense, "observable_b_dense"),
@@ -642,7 +656,9 @@ class TestOracle:
         assert row["trotter_overlap_sq"] > 0.98
 
     def test_polarized_magnetization(self, tmp_path):
-        _, data = run(tmp_path, "oracle", "--n", "4", "--g", "1e7", "--l-steps", "64")
+        # T = 1 keeps the step angle 4e7 / 65 inside the step-angle check
+        _, data = run(tmp_path, "oracle", "--n", "4", "--g", "1e7", "--t-total", "1",
+                      "--l-steps", "64")
         assert json.loads(data)["rows"][0]["expected_m"] == pytest.approx(1.0, abs=1e-6)
 
     def test_size_cap(self, capsys):
@@ -652,8 +668,10 @@ class TestOracle:
     @pytest.mark.parametrize("g", ["-1e+05", "-1e+08", "-1e+20"])
     def test_degenerate_point_is_usage_error(self, capsys, g):
         # the symmetric subspace's gap closes like 1/|g| at g < 0: 1e-5 at
-        # g = -1e5, under 1e-10 |E_0| = 4e-5 though far above an absolute 1e-10
-        assert_usage_error(capsys, ["oracle", "--n", "8", f"--g={g}", "--l-steps", "8"],
+        # g = -1e5, under 1e-10 |E_0| = 4e-5 though far above an absolute 1e-10;
+        # T = 1e-14 keeps the step angle 4|g|T/9 inside the step-angle check
+        assert_usage_error(capsys, ["oracle", "--n", "8", f"--g={g}", "--t-total", "1e-14",
+                                    "--l-steps", "8"],
                            f"oracle at N=8, g={float(g)}: symmetric even-subspace ground state "
                            f"degenerate within 1e-10*max(1, |E0|) at B={float(g)}, J=1.0")
 
@@ -680,26 +698,39 @@ class TestOracle:
         assert code == 0 and row["qfi"] == pytest.approx(ising.qfi(1e-4, 4), rel=1e-12)
 
     def test_field_term_past_the_float_range(self, tmp_path, capsys):
-        # 4 * 4 * 4e307 overflows at the first size; 4 * 8 * 1e300 does not
+        # 4 * 4 * 4e307 overflows at the first size; 4 * 8 * 1e300 does not, but at
+        # Delta = 1/9 the step angle 4e300 / 9 has no phase a float resolves
         out = tmp_path / "new.json"
         assert_usage_error(capsys, ["oracle", "--n", "4,8", "--g", "1,4e307", "--t-total", "1",
                                     "--l-steps", "8", "--out", str(out)],
                            f"{PHASE_BOUND} at N=4, M=4e+307, T=1.0")
         assert not out.exists()
-        code, data = run(tmp_path, "oracle", "--n", "8", "--g", "1e300", "--t-total", "1",
+        assert_usage_error(capsys, ["oracle", "--n", "8", "--g", "1e300", "--t-total", "1",
+                                    "--l-steps", "8", "--out", str(out)],
+                           f"{STEP_ANGLE} at M=1e+300, Delta=0.111111")
+        assert not out.exists()
+        code, data = run(tmp_path, "oracle", "--n", "8", "--g", "1e6", "--t-total", "1",
                          "--l-steps", "8")
         row = json.loads(data, parse_constant=lambda c: pytest.fail(f"{c} in the report"))["rows"][0]
         assert code == 0 and row["parity"] == pytest.approx(1.0)
 
     def test_long_steps_write_a_finite_report(self, tmp_path):
-        # Delta = 1.1e199: L * Delta^2 overflows, but no angle or phase the chain forms does
+        # Delta = 1.1e6, where 4 * Delta * eps = 9.9e-10 is just inside the step-angle check
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, data = run(tmp_path, "oracle", "--n", "4,8", "--g", "1", "--t-total", "1e200",
+            code, data = run(tmp_path, "oracle", "--n", "4,8", "--g", "1", "--t-total", "1e7",
                              "--l-steps", "8")
         rows = json.loads(data, parse_constant=lambda c: pytest.fail(f"{c} in the report"))["rows"]
         assert code == 0 and [row["n"] for row in rows] == [4, 8]
         assert all(0.0 <= row["trotter_overlap_sq"] <= 1.0 + 1e-12 for row in rows)
+
+    def test_golden_after_compare_in_one_process(self, tmp_path, clear_caches):
+        # compare fills the per-size caches that oracle then reads
+        grid = ["--n", "4", "--g", "1.0", "--t-total", "160", "--l-steps", "1024"]
+        for _ in range(2):
+            assert run(tmp_path, "compare", *grid)[0] == 0
+            code, data = run(tmp_path, "oracle", *grid)
+            assert code == 0 and data == (GOLDEN / "oracle.json").read_bytes()
 
     def test_nan_in_a_report_raises_and_writes_nothing(self, tmp_path, monkeypatch):
         even_ground = dense.even_ground
@@ -709,6 +740,20 @@ class TestOracle:
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             main(["oracle", "--n", "4", "--l-steps", "8", "--out", str(out)])
         assert not out.exists()
+
+
+def test_commands_in_one_process(tmp_path, capsys, clear_caches):
+    """One parser serves every call of main: reports repeat and usage errors still exit 2."""
+    compare = ["compare", "--n", "4,8", "--g", "0.5", "--l-steps", "8"]
+    first = run(tmp_path, *compare)
+    sweep = run(tmp_path, "sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "csv")
+    assert sweep == (0, (GOLDEN / "sweep.csv").read_bytes())
+    capsys.readouterr()  # the sweep's config line
+    assert run(tmp_path, *compare) == first and first[0] == 0
+    assert_usage_error(capsys, ["compare", "--n", "4", "--bogus", "1"],
+                       "unrecognized arguments: --bogus 1")
+    assert_usage_error(capsys, ["sweep", "--n", "4"], "sweep needs a nonempty --g list")
+    assert run(tmp_path, *compare) == first
 
 
 def test_option_table_has_no_dead_keys():

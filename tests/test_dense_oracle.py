@@ -6,6 +6,7 @@ import pytest
 from compressed_metrology import adiabatic, cli, dense, ising, matchgate
 from compressed_metrology.adiabatic import TrotterSchedule
 from compressed_metrology.ising import IsingParams
+from conftest import cached_functions
 from support import (hamiltonian_from_strings, majoranas, majoranas_kron, mode_energy,
                      pauli_string, sector_energies, trotter_evolve_sector_stepwise,
                      trotter_evolve_stepwise)
@@ -366,10 +367,10 @@ class TestQFI:
         dg2 = ising.variance_b(1.0, 4) / ising.expected_b_derivative(1.0, 4) ** 2
         assert dg2 * qfi == pytest.approx(1.0, abs=1e-6)
 
-    def test_eigh_sizes_per_oracle_point(self, monkeypatch, tmp_path):
+    def test_eigh_sizes_per_oracle_point(self, monkeypatch, tmp_path, clear_caches):
         # per (N, g): one solve in the twisted-shift-symmetric subspace (2 or
-        # 16 states) for the ground branch and its QFI, then one there of the
-        # bond sum for trotter_evolve
+        # 16 states) for the ground branch and its QFI; per N, one there of the
+        # bond sum, which trotter_evolve reuses at every g
         sizes = []
         solve = np.linalg.eigh
 
@@ -380,4 +381,34 @@ class TestQFI:
         monkeypatch.setattr(np.linalg, "eigh", recording)
         assert cli.main(["oracle", "--n", "4,8", "--g", "0.7,1.0", "--l-steps", "64",
                          "--out", str(tmp_path / "oracle.json")]) == 0
-        assert sizes == [2, 2, 2, 2, 16, 16, 16, 16]
+        assert sizes == [2, 2, 2, 16, 16, 16]
+
+
+class TestPerSizeCache:
+    """What depends on N alone is built once per process and shared read-only."""
+    BUILDS = ("popcounts", "parity_diag", "symmetric_basis", "observable_b_dense", "_bond_eigh")
+
+    @staticmethod
+    def arrays(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    def test_these_are_the_package_caches(self):
+        # each dense one is keyed by N alone, circuit's by the register size, the parser by nothing
+        assert set(cached_functions()) == {
+            *(f"dense.{name}" for name in self.BUILDS),
+            "circuit.decompose_shift", "circuit._compiled_step", "cli._build_parser"}
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_arrays_are_read_only(self, name):
+        for arr in self.arrays(getattr(dense, name)(4)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_equals_an_uncached_build(self, name, n_spins, clear_caches):
+        build = getattr(dense, name)
+        cached = self.arrays(build(n_spins))
+        assert build(n_spins) is build(n_spins)
+        for arr, fresh in zip(cached, self.arrays(build.__wrapped__(n_spins)), strict=True):
+            assert_same_bits(arr, fresh)
