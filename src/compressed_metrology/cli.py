@@ -473,8 +473,8 @@ def cmd_dump(cfg: dict) -> str:
 def cmd_oracle(cfg: dict) -> dict:
     sizes = sorted(cfg["n"])
     _check_sizes(sizes, curves=False, chain=True)
-    if sizes[-1] > 10:
-        _usage_error("oracle is capped at N <= 10")
+    if sizes[-1] > 8:
+        _usage_error("oracle is capped at N <= 8")
     schedules = [(n, _schedule_from(cfg, n, [(g, 1.0) for g in cfg["g"]])) for n in sizes]
     rows = []
     for n, schedule in schedules:
@@ -532,19 +532,24 @@ _COMMANDS = {
                   "seed": None, **_SCHEDULE, "window": [0.5, 1.5], "out": None}),
     "dump": (cmd_dump, "write the gate program of R^T(B, J)",
              {"n": [4], "b": 1.0, "j": 1.0, **_SCHEDULE, "out": None}),
-    "oracle": (cmd_oracle, "dense reference values (N <= 10)",
+    "oracle": (cmd_oracle, "dense reference values (N <= 8)",
                {"n": [4], "g": [1.0], **_SCHEDULE, "out": None}),
 }
 
 
-@lru_cache(maxsize=None)  # one parser per process: parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
+# One parser per command per process (parse_args keeps no state between calls).
+# A command's parser holds its subcommand alone; None holds all six, for --help
+# and for a missing or unknown command.
+@lru_cache(maxsize=None)
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cmetro",
         description="Compressed Ising-chain metrology: sweeps, comparisons, estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, summary, defaults) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
         for key in defaults:
@@ -555,7 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     cfg = _resolve(args)
     out = cfg.pop("out")
     created = bool(out) and _check_out(out)  # before any work runs

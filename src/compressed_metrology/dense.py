@@ -9,18 +9,18 @@
 #   Fermions:   c_j = (x_{2j} + i x_{2j+1})/2, which annihilate |0..0>.
 #   Parity:     Ztilde = (-1)^(number of fermions); |0..0> is in the +1 sector.
 #
-# Everything here is deliberately dense and small (N <= 12 operators,
-# N <= 10 evolution): this module is the oracle, not the product path.  On the
-# even sector the wrapped bond is +J X_{N-1} X_0, and the twisted shift (site
-# j -> j+1, then Z on site 0) commutes with H and fixes |0..0>.  The branch
-# grown from |0..0>, which ising's closed forms describe, is solved and evolved
-# in the even states the shift fixes, through one real eigh (_symmetric_eigh).
+# Everything here is deliberately dense and small (N <= 12): this module is
+# the oracle, not the product path.  On the even sector the wrapped bond is
+# +J X_{N-1} X_0, and the twisted shift (site j -> j+1, then Z on site 0)
+# commutes with H and fixes |0..0>.  The branch grown from |0..0>, which
+# ising's closed forms describe, is solved and evolved in the even states the
+# shift fixes, through one real eigh (_symmetric_eigh).
 #
 # What depends on N alone (popcounts, parity_diag, symmetric_basis,
 # observable_b_dense and the bond sum's eigenpairs) is built once per process
 # per N and returned read-only, so repeated oracle points at one N share it;
-# the largest the CLI can hold is b_1^dag b_1 at N = 8, 1 MB (its sizes are
-# powers of two, so oracle's cap N <= 10 admits none larger).
+# the largest the CLI can hold is b_1^dag b_1 at N = 8, 1 MB (compare and
+# oracle cap N at 8).
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from .adiabatic import TrotterSchedule
 from .ising import IsingParams
 
 _MAX_OPERATOR_SPINS = 12
-_MAX_EVOLVE_SPINS = 10
 # Step phases exponentiated at once in trotter_evolve: 256 kB of complex entries.
 _PHASE_CHUNK_ENTRIES = 1 << 14
 
@@ -241,8 +240,6 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     on the odd sector.
     """
     n = params.n_spins
-    if n > _MAX_EVOLVE_SPINS:
-        raise ValueError(f"dense evolution capped at N={_MAX_EVOLVE_SPINS}, got {n}")
     # H1's eigenvectors in the symmetric subspace, embedded in the 2^N space.
     w1, v1 = _bond_eigh(n)
     # H0 = sum_j Z_j is diagonal.

@@ -308,8 +308,7 @@ def sector_energies(params: IsingParams, parity: int) -> np.ndarray:
 def trotter_evolve_stepwise(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     """The digital-adiabatic product on |0..0>, exponentiating each step's phases on its own."""
     n = params.n_spins
-    if n > dense._MAX_EVOLVE_SPINS:
-        raise ValueError(f"dense evolution capped at N={dense._MAX_EVOLVE_SPINS}, got {n}")
+    dense._check_operator_size(n)
     dim = 1 << n
     # H0 = sum_j Z_j is diagonal; H1 is eigen-decomposed once and re-phased per step.
     h0_diag = n - 2.0 * dense.popcounts(n)

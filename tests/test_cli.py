@@ -1,11 +1,13 @@
 """Front-end: flags, config precedence, determinism, golden outputs, exit codes."""
 
+import argparse
 import ast
 import errno
 import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -32,6 +34,20 @@ PHASE_BOUND = "the phase bound 4*N*M*max(T, 1), M = max(|B|, |J|, 1), is not fin
 # Its second check, on the largest step angle; the message ends "at M, Delta".
 STEP_ANGLE = ("the step angle 4*M*Delta, M = max(|B|, |J|, 1), is too large for a float "
               "to resolve its phase (4*M*Delta*eps > 1e-09)")
+
+
+# Arguments the parser itself rejects, and a part of its one-line message.
+PARSER_ERRORS = [
+    (["estimate", "--n", "abc"], "argument --n: invalid int list value: 'abc'"),
+    (["oracle", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["dump", "--g", "0.5"], "unrecognized arguments: --g 0.5"),
+    # compare and estimate run J = 1; a J would only rescale T.
+    (["compare", "--j", "1"], "unrecognized arguments: --j 1"),
+    (["estimate", "--j", "1"], "unrecognized arguments: --j 1"),
+    (["compare", "--analytic-tol", "1e-6"], "unrecognized arguments: --analytic-tol 1e-6"),
+    # scaling reports one-shot delta g^2; a shot count only divides them all
+    (["scaling", "--shots", "3"], "unrecognized arguments: --shots 3"),
+]
 
 
 def assert_usage_error(capsys, argv, message):
@@ -360,17 +376,7 @@ class TestUsageErrors:
         assert_usage_error(capsys, [*self.BASE["sweep"], "--n", "4", "--config", str(cfg)],
                            'format must be one of csv, json, got "xml"')
 
-    @pytest.mark.parametrize("argv,message", [
-        (["estimate", "--n", "abc"], "argument --n: invalid int list value: 'abc'"),
-        (["oracle", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-        (["dump", "--g", "0.5"], "unrecognized arguments: --g 0.5"),
-        # compare and estimate run J = 1; a J would only rescale T.
-        (["compare", "--j", "1"], "unrecognized arguments: --j 1"),
-        (["estimate", "--j", "1"], "unrecognized arguments: --j 1"),
-        (["compare", "--analytic-tol", "1e-6"], "unrecognized arguments: --analytic-tol 1e-6"),
-        # scaling reports one-shot delta g^2; a shot count only divides them all
-        (["scaling", "--shots", "3"], "unrecognized arguments: --shots 3"),
-    ])
+    @pytest.mark.parametrize("argv,message", PARSER_ERRORS)
     def test_parser_error(self, capsys, argv, message):
         assert_usage_error(capsys, argv, message)
 
@@ -663,7 +669,7 @@ class TestOracle:
 
     def test_size_cap(self, capsys):
         assert_usage_error(capsys, ["oracle", "--n", "16", "--g", "1.0"],
-                           "oracle is capped at N <= 10")
+                           "oracle is capped at N <= 8")
 
     @pytest.mark.parametrize("g", ["-1e+05", "-1e+08", "-1e+20"])
     def test_degenerate_point_is_usage_error(self, capsys, g):
@@ -742,8 +748,87 @@ class TestOracle:
         assert not out.exists()
 
 
+class TestPerCommandParser:
+    """main builds the named command's parser alone, and it reads argv as the parser of all six."""
+    ARGV = {
+        "sweep": ["sweep", "--n", "4,8", "--g", "0.5", "--form", "json"],
+        "scaling": ["scaling", "--g", "0.9", "--n-mag", "256,512", "--out", "f"],
+        "compare": ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "8"],
+        "estimate": ["estimate", "--n", "4", "--see", "3", "--reps", "10", "--window", "0.2,2"],
+        "dump": ["dump", "--n", "4", "--b", "1.5", "--j", "0.5", "--t-total", "2"],
+        "oracle": ["oracle", "--config", "c.json", "--n", "4,8", "--l-steps", "8"],
+    }
+
+    @staticmethod
+    def stopped(capsys, parse):
+        """(exit code, stdout, stderr) of a parse that ends the program."""
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return (exc.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_same_namespace(self, name):
+        argv = self.ARGV[name]
+        args = cli._build_parser(name).parse_args(argv)
+        assert args == cli._build_parser().parse_args(argv) and args.command == name
+
+    @pytest.mark.parametrize("argv,message", PARSER_ERRORS)
+    def test_same_error(self, capsys, argv, message):
+        one = self.stopped(capsys, lambda: cli._build_parser(argv[0]).parse_args(argv))
+        assert one == self.stopped(capsys, lambda: cli._build_parser().parse_args(argv))
+        assert one[0] == 2 and message in one[2]
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                    "'sweep', 'scaling', 'compare', 'estimate', 'dump', 'oracle')"),
+    ])
+    def test_missing_or_unknown_command(self, capsys, argv, message):
+        assert_usage_error(capsys, argv, message)
+
+    def test_help_lists_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = self.stopped(capsys, lambda: main(["--help"]))
+        assert code == 0 and err == ""
+        assert "{sweep,scaling,compare,estimate,dump,oracle}" in out
+        assert all(f"    {name:<20}{summary}\n" in out
+                   for name, (_, summary, _) in cli._COMMANDS.items())
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_command_help(self, capsys, name):
+        code, out, err = self.stopped(capsys, lambda: main([name, "--help"]))
+        assert (code, out, err) == self.stopped(
+            capsys, lambda: cli._build_parser().parse_args([name, "--help"]))
+        assert code == 0 and out.startswith(f"usage: cmetro {name} [-h] [--config CONFIG]")
+
+    def test_main_builds_the_command_alone(self, tmp_path, clear_caches):
+        run(tmp_path, "estimate", "--n", "4", "--seed", "1", "--l-steps", "8", "--reps", "10")
+        parser = cli._build_parser("estimate")
+        assert cli._build_parser.cache_info()[:2] == (1, 1)  # hits, misses: main built it
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"estimate"}
+
+
+def test_entry_point_runs_as_a_module():
+    """``python -m compressed_metrology.cli`` reads its own sys.argv: --help and a sweep."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+
+    def cmetro(*argv):
+        return subprocess.run([sys.executable, "-m", "compressed_metrology.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+
+    helped = cmetro("--help")
+    assert helped.returncode == 0
+    assert b"{sweep,scaling,compare,estimate,dump,oracle}" in helped.stdout
+    swept = cmetro("sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "csv")
+    assert swept.returncode == 0 and swept.stdout == (GOLDEN / "sweep.csv").read_bytes()
+
+
 def test_commands_in_one_process(tmp_path, capsys, clear_caches):
-    """One parser serves every call of main: reports repeat and usage errors still exit 2."""
+    """Each command's parser, built once, serves every call of main that names it:
+    reports repeat and usage errors still exit 2."""
     compare = ["compare", "--n", "4,8", "--g", "0.5", "--l-steps", "8"]
     first = run(tmp_path, *compare)
     sweep = run(tmp_path, "sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "csv")

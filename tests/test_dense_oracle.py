@@ -393,7 +393,7 @@ class TestPerSizeCache:
         return out if isinstance(out, tuple) else (out,)
 
     def test_these_are_the_package_caches(self):
-        # each dense one is keyed by N alone, circuit's by the register size, the parser by nothing
+        # each dense one is keyed by N alone, circuit's by the register size, the parser by command
         assert set(cached_functions()) == {
             *(f"dense.{name}" for name in self.BUILDS),
             "circuit.decompose_shift", "circuit._compiled_step", "cli._build_parser"}
