@@ -22,7 +22,7 @@ Every gate kind has one representation, gate = c 1 + s P with P monomial,
 c = 0, RY(theta) = cos(theta/2) 1 + sin(theta/2) RY(pi) and
 RXX(a) = cos a 1 + sin a (-i X(x)X), and ``_terms`` builds (c, s, P).  The
 runner composes the P's of one ``trotter_step_gates`` program once per
-register size: the gates before the RY give the ladder-wrapped S1 block
+run: the gates before the RY give the ladder-wrapped S1 block
 cos a 1 + sin a P_S (HT^2 = 1 and A A^dag = 1 leave the identity term
 alone), and the RY gives P_Y, so it executes exactly the program
 ``full_program`` dumps.  Gates run only that way in the package; the tests
@@ -181,7 +181,6 @@ def _compose(gates: tuple[Gate, ...], n_qubits: int) -> tuple[np.ndarray, np.nda
     return src, phase / np.abs(phase)
 
 
-@lru_cache(maxsize=None)
 def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index maps and phases of P_S and P_Y, composed from ``trotter_step_gates``.
 
@@ -189,10 +188,7 @@ def _compiled_step(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     step's angles do not enter the P's.
     """
     *block, field = trotter_step_gates(0.0, 0.0, m)
-    maps = _compose(tuple(block), m + 2) + _compose((field,), m + 2)
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+    return _compose(tuple(block), m + 2) + _compose((field,), m + 2)
 
 
 def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:

@@ -25,7 +25,6 @@ import math
 import os
 import stat
 import sys
-from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
@@ -174,11 +173,14 @@ def _check_sizes(sizes: list[int], *, curves: bool, chain: bool, flag: str = "--
     """Usage error, naming ``flag``, unless every N suits the command, before any work runs.
 
     The closed-form curves need even N >= 4; the chain itself (rotation,
-    circuit, dense oracle) needs a power of two.
+    circuit, dense oracle) needs a power of two.  Up to 2^53, the bound on
+    L + 1, every float formed from N (r_1^4, 10 N^2) is finite and nonzero.
     """
     if not sizes:
         _usage_error(f"{flag} needs at least one size")
     for n in sizes:
+        if n > 2**53:
+            _usage_error(f"{flag}: N must be at most 2**53, got {n}")
         try:
             if curves:
                 ising.check_curve_size(n)
@@ -232,12 +234,12 @@ def _schedule_from(cfg: dict, n_spins: int,
     return schedule
 
 
-def _delta_g_sq(point, g: float, sizes: list[int], shots: int = 1) -> dict[str, float]:
+def _delta_g_sq(point, g: float, sizes: list[int]) -> dict[str, float]:
     """{N: delta g^2} by ``metrology.precision_b`` or ``precision_m``; usage error unless finite."""
     values = {}
     for n in sizes:
         try:
-            values[str(n)] = point(g, n, shots)
+            values[str(n)] = point(g, n)
         except ValueError as exc:
             _usage_error(f"{point.__name__} at N={n}, g={g}: {exc}")
     return values
@@ -423,7 +425,7 @@ def cmd_estimate(cfg: dict) -> dict:
     _check_ratios(window)  # <B> is evaluated at both ends
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
-    _delta_g_sq(metrology.precision_b, g_star, [n], cfg["shots"])  # finite before the circuit runs
+    _delta_g_sq(metrology.precision_b, g_star, [n])  # finite before the circuit runs
     schedule = _schedule_from(cfg, n, [(g_star, 1.0)])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
                             tuple(cfg["window"]))
@@ -537,10 +539,8 @@ _COMMANDS = {
 }
 
 
-# One parser per command per process (parse_args keeps no state between calls).
 # A command's parser holds its subcommand alone; None holds all six, for --help
 # and for a missing or unknown command.
-@lru_cache(maxsize=None)
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cmetro",

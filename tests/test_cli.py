@@ -50,6 +50,18 @@ PARSER_ERRORS = [
 ]
 
 
+# Sizes past 2**53 and the flag that refuses them.  Unchecked, the first four raise inside
+# the closed forms or the default schedule, and the last sums 2**53 modes.
+HUGE_SIZES = [
+    (["estimate", "--n", str(2**300), "--g", "1", "--seed", "1", "--t-total", "1",
+      "--l-steps", "1"], "--n"),  # r_1^4 underflows in ising.qfi
+    (["dump", "--n", str(2**512)], "--n"),  # 10 N^2 overflows in build_schedule
+    (["sweep", "--n", str(2**1024), "--g", "1"], "--n"),  # 2 pi j / N overflows in mode_xi
+    (["scaling", "--n", f"8,{2**1024}"], "--n"),
+    (["scaling", "--n-magnetization", f"256,{2**54}"], "--n-magnetization"),
+]
+
+
 def assert_usage_error(capsys, argv, message):
     """Exit 2 with one stderr line that carries ``message``."""
     with pytest.raises(SystemExit) as exc:
@@ -348,6 +360,28 @@ class TestUsageErrors:
             cfg.write_text(config)
             argv = [*self.BASE[command], "--config", str(cfg)]
         assert_usage_error(capsys, argv, "--n needs at least one size")
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "dump",
+                                         "oracle"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_size_past_2_53(self, tmp_path, capsys, command, via):
+        argv = [*self.BASE[command], "--n", str(2**54)]
+        if via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n": [2**54]}))
+            argv = [*self.BASE[command], "--config", str(cfg)]
+        assert_usage_error(capsys, argv, f"--n: N must be at most 2**53, got {2**54}")
+
+    @pytest.mark.parametrize("argv,flag", HUGE_SIZES)
+    def test_huge_size_is_usage_error(self, capsys, argv, flag):
+        huge = max(int(n) for n in argv[argv.index(flag) + 1].split(","))
+        assert_usage_error(capsys, argv, f"{flag}: N must be at most 2**53, got {huge}")
+
+    def test_size_bound_is_inclusive(self, capsys):
+        # N = 2**53 passes the size check and reaches the default schedule's own bound.
+        assert_usage_error(capsys, ["dump", "--n", str(2**53)],
+                           f"the default schedule at N={2**53}, T=8.112963841460668e+32 needs "
+                           "L + 1 = 8.113e+33 steps, more than 2^53")
 
     @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "oracle"])
     def test_empty_g(self, capsys, command):
@@ -801,12 +835,19 @@ class TestPerCommandParser:
             capsys, lambda: cli._build_parser().parse_args([name, "--help"]))
         assert code == 0 and out.startswith(f"usage: cmetro {name} [-h] [--config CONFIG]")
 
-    def test_main_builds_the_command_alone(self, tmp_path, clear_caches):
+    def test_main_builds_the_command_alone(self, tmp_path, monkeypatch):
+        built = []
+        build = cli._build_parser
+
+        def spy(command=None):
+            built.append((command, build(command)))
+            return built[-1][1]
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
         run(tmp_path, "estimate", "--n", "4", "--seed", "1", "--l-steps", "8", "--reps", "10")
-        parser = cli._build_parser("estimate")
-        assert cli._build_parser.cache_info()[:2] == (1, 1)  # hits, misses: main built it
+        ((command, parser),) = built
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(sub.choices) == {"estimate"}
+        assert command == "estimate" and set(sub.choices) == {"estimate"}
 
 
 def test_entry_point_runs_as_a_module():
@@ -827,8 +868,8 @@ def test_entry_point_runs_as_a_module():
 
 
 def test_commands_in_one_process(tmp_path, capsys, clear_caches):
-    """Each command's parser, built once, serves every call of main that names it:
-    reports repeat and usage errors still exit 2."""
+    """Calls of main in one process share no parser: reports repeat and usage errors
+    still exit 2."""
     compare = ["compare", "--n", "4,8", "--g", "0.5", "--l-steps", "8"]
     first = run(tmp_path, *compare)
     sweep = run(tmp_path, "sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "csv")
@@ -904,6 +945,7 @@ def test_every_public_name_has_a_caller():
     ["dump", "--n", "4", "--b", "1e-10", "--j", "1e308", "--t-total", "10", "--l-steps", "8"],
     ["estimate", "--n", "4", "--g", "1", "--seed", "1", "--t-total", "1e200"],
     ["oracle", "--n", "8", "--g", "1e300", "--t-total", "6e7", "--l-steps", "1"],
+    *(argv for argv, _ in HUGE_SIZES[:4]),
 ])
 def test_reports_are_strict_json(tmp_path, argv):
     """A report holds no NaN or Infinity, which JSON does not have; a usage error writes none."""

@@ -393,10 +393,25 @@ class TestPerSizeCache:
         return out if isinstance(out, tuple) else (out,)
 
     def test_these_are_the_package_caches(self):
-        # each dense one is keyed by N alone, circuit's by the register size, the parser by command
+        # each dense one is keyed by N alone, circuit's by the register size
         assert set(cached_functions()) == {
-            *(f"dense.{name}" for name in self.BUILDS),
-            "circuit.decompose_shift", "circuit._compiled_step", "cli._build_parser"}
+            *(f"dense.{name}" for name in self.BUILDS), "circuit.decompose_shift"}
+
+    def test_a_crosscheck_run_reuses_each_dense_build(self, tmp_path, clear_caches):
+        grid = ["--n", "4,8", "--g", "1.0", "--l-steps", "2048"]
+        for command in ("compare", "oracle"):
+            assert cli.main([command, *grid, "--out", str(tmp_path / f"{command}.json")]) == 0
+        hits = {name: getattr(dense, name).cache_info().hits for name in self.BUILDS}
+        assert all(hits.values()), hits
+
+    def test_a_dump_reuses_the_shift_ladder_per_step(self, tmp_path, clear_caches):
+        shift = cached_functions()["circuit.decompose_shift"]
+        hits = []
+        for extra in (["--l-steps", "1"], []):  # L = 1, then the default L = 1599
+            clear_caches()
+            assert cli.main(["dump", *extra, "--out", str(tmp_path / "dump.txt")]) == 0
+            hits.append(shift.cache_info().hits)
+        assert 0 < hits[0] < hits[1] and hits[1] >= 1599
 
     @pytest.mark.parametrize("name", BUILDS)
     def test_arrays_are_read_only(self, name):
