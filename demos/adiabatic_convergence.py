@@ -24,7 +24,7 @@ def main():
     total_time = 10.0 * n * n
     params = ising.IsingParams(n, field_b=g, coupling_j=1.0)
     target = ising.expected_b(g, n)
-    ground = dense.ground_state_even(params)
+    _, ground, _ = dense.even_ground(params)
     obs = matchgate.observable_b_coefficients(n)
 
     print(f"N = {n}, g = {g}, T = {total_time:.0f} (the 10 N^2 desk default)")

@@ -46,6 +46,9 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _MAX_DUMP_GATES = 5_000_000
 
+# Trotter steps whose weights the runner builds at a time, about 1 MB of them.
+_CHUNK_STEPS = 2**14
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -199,7 +202,7 @@ def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     c Q0 + s Q1 with Q0 = cy 1 + sy P_Y and Q1 = Q0 P_S: four monomial
     terms, so a step is one gather of the 4N amplitudes through four index
     maps, a multiply by fixed phases, and a contraction with the step weights
-    (c, c, s, s).
+    (c, c, s, s), built ``_CHUNK_STEPS`` steps at a time.
     """
     m = params.n_spins.bit_length() - 1
     src_s, phase_s, src_y, phase_y = _compiled_step(m)
@@ -208,12 +211,13 @@ def run_circuit(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray:
     index = np.stack([np.arange(src_s.size), src_y, src_s, src_s[src_y]])
     phases = np.stack([np.full(src_s.size, cy), sy * phase_y,
                        cy * phase_s, sy * phase_y * phase_s[src_y]])
-    angles = params.coupling_j * schedule.taus()
-    cos_a, sin_a = np.cos(angles), np.sin(angles)
-    weights = np.stack([cos_a, cos_a, sin_a, sin_a], axis=1).astype(complex)
     psi = initial_state(m)
-    for weight in weights[::-1]:
-        psi = weight @ (phases * psi[index])
+    for stop in range(schedule.steps + 1, 0, -_CHUNK_STEPS):
+        angles = params.coupling_j * schedule.taus(max(stop - _CHUNK_STEPS, 0), stop)
+        cos_a, sin_a = np.cos(angles), np.sin(angles)
+        weights = np.stack([cos_a, cos_a, sin_a, sin_a], axis=1).astype(complex)
+        for weight in weights[::-1]:
+            psi = weight @ (phases * psi[index])
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if drift > 1e-9:
         raise AssertionError(f"norm drifted by {drift:.3e} during the run")

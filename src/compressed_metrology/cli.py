@@ -234,17 +234,6 @@ def _schedule_from(cfg: dict, n_spins: int,
     return schedule
 
 
-def _delta_g_sq(point, g: float, sizes: list[int]) -> dict[str, float]:
-    """{N: delta g^2} by ``metrology.precision_b`` or ``precision_m``; usage error unless finite."""
-    values = {}
-    for n in sizes:
-        try:
-            values[str(n)] = point(g, n)
-        except ValueError as exc:
-            _usage_error(f"{point.__name__} at N={n}, g={g}: {exc}")
-    return values
-
-
 def _schedule_meta(sch: adiabatic.TrotterSchedule) -> dict:
     return {"t_total": sch.total_time, "l_steps": sch.steps}
 
@@ -285,9 +274,7 @@ def cmd_sweep(cfg: dict) -> dict | str:
 # ---------------------------------------------------------------------------
 
 def cmd_scaling(cfg: dict) -> dict:
-    """Scaling fits plus the acceptance windows."""
-    g = _one(cfg, "g", "scaling")
-    _check_ratios([g])
+    """Scaling fits at g = 1 plus the acceptance windows."""
     n_list_b = [2**k for k in range(3, 11)] if cfg["n"] is None else cfg["n"]
     n_list_m = cfg["n_magnetization"]
     for flag, sizes in (("--n", n_list_b), ("--n-magnetization", n_list_m)):
@@ -295,12 +282,13 @@ def cmd_scaling(cfg: dict) -> dict:
         if len(sizes) < 2 or len(set(sizes)) != len(sizes):
             _usage_error(f"{flag} needs at least two sizes, none repeated, for the fit, "
                          f"got {','.join(map(str, sizes))}")
-    delta_g_sq_b = _delta_g_sq(metrology.precision_b, g, n_list_b)
-    delta_g_sq_m = _delta_g_sq(metrology.precision_m, g, n_list_m)
+    # At g = 1 both are finite at every N the size check admits.
+    delta_g_sq_b = {str(n): metrology.precision_b(1.0, n) for n in n_list_b}
+    delta_g_sq_m = {str(n): metrology.precision_m(1.0, n) for n in n_list_m}
     fit_b = metrology.fit_power_law(n_list_b, list(delta_g_sq_b.values()))
     fit_m = metrology.fit_power_law(n_list_m, list(delta_g_sq_m.values()))
-    var_b_tail = {n: ising.variance_b(g, n) for n in n_list_b if n >= 64}
-    flat_dev = metrology.magnetization_flatness(g, n_list_m)
+    var_b_tail = {n: ising.variance_b(1.0, n) for n in n_list_b if n >= 64}
+    flat_dev = metrology.magnetization_flatness(n_list_m, list(delta_g_sq_m.values()))
 
     failures = []
     if not SLOPE_WINDOW_B[0] <= fit_b.slope <= SLOPE_WINDOW_B[1]:
@@ -425,7 +413,10 @@ def cmd_estimate(cfg: dict) -> dict:
     _check_ratios(window)  # <B> is evaluated at both ends
     _check_sizes(cfg["n"], curves=True, chain=True)
     n, g_star = _one(cfg, "n", "estimate"), _one(cfg, "g", "estimate")
-    _delta_g_sq(metrology.precision_b, g_star, [n])  # finite before the circuit runs
+    try:  # finite before the circuit runs
+        metrology.precision_b(g_star, n)
+    except ValueError as exc:
+        _usage_error(f"precision_b at N={n}, g={g_star}: {exc}")
     schedule = _schedule_from(cfg, n, [(g_star, 1.0)])
     report = estimation_run(n, g_star, schedule, cfg["shots"], cfg["reps"], cfg["seed"],
                             tuple(cfg["window"]))
@@ -524,8 +515,8 @@ class _Parser(argparse.ArgumentParser):
 _COMMANDS = {
     "sweep": (cmd_sweep, "analytic observable curves over (N, g) grids",
               {"n": [4, 8, 16], "g": None, "format": "csv", "out": None}),
-    "scaling": (cmd_scaling, "precision-scaling fits and windows",
-                {"g": [1.0], "n": None, "n_magnetization": [2**k for k in range(8, 14)],
+    "scaling": (cmd_scaling, "precision-scaling fits and windows at g = 1",
+                {"n": None, "n_magnetization": [2**k for k in range(8, 14)],
                  "out": None}),
     "compare": (cmd_compare, "analytic vs matrix vs kernel vs gate vs dense <B>",
                 {"n": [4], "g": [0.5, 1.0, 1.5], **_SCHEDULE, "out": None}),

@@ -52,13 +52,13 @@ def precision_b(g: float, n_spins: int, shots: int = 1) -> float:
                              ising.expected_b_derivative(g, n_spins)) / shots
 
 
-def precision_m(g: float, n_spins: int, shots: int = 1) -> float:
-    """Same for the magnetization, which loses the 1/N^2 Heisenberg scaling.
+def precision_m(g: float, n_spins: int) -> float:
+    """One-shot delta g^2 of the magnetization, which loses the 1/N^2 Heisenberg scaling.
 
     At g = 1, delta_g^2 -> pi^2/(N ln^2 N) (see ``ising.expected_m_derivative``).
     """
     return error_propagation(ising.variance_m(g, n_spins),
-                             ising.expected_m_derivative(g, n_spins)) / shots
+                             ising.expected_m_derivative(g, n_spins))
 
 
 def fit_power_law(sizes: Sequence[int], values: Sequence[float]) -> ScalingFit:
@@ -79,13 +79,13 @@ def fit_power_law(sizes: Sequence[int], values: Sequence[float]) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r_squared)
 
 
-def magnetization_flatness(g: float, n_list: Sequence[int]) -> float:
-    """Midrange deviation of delta_g^2 * N * ln^2 N for M over ``n_list``.
+def magnetization_flatness(sizes: Sequence[int], delta_g_sq: Sequence[float]) -> float:
+    """Midrange deviation of delta_g^2 * N * ln^2 N, M's one-shot ``delta_g_sq`` at ``sizes``.
 
     At g = 1 the product tends to pi^2, so its spread over a window of sizes
     measures how closely M follows the 1/(N ln^2 N) law there.
     """
-    flat = [precision_m(g, n) * n * math.log(n) ** 2 for n in n_list]
+    flat = [value * n * math.log(n) ** 2 for n, value in zip(sizes, delta_g_sq, strict=True)]
     mid = 0.5 * (max(flat) + min(flat))
     return (max(flat) - mid) / mid
 

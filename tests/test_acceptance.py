@@ -115,7 +115,7 @@ def test_criterion_4_magnetization_suboptimality(capsys):
     flat_log1 = [v * n * math.log(n) for v, n in zip(delta_g_sq, sizes)]
     mid1 = 0.5 * (max(flat_log1) + min(flat_log1))
     dev1 = (max(flat_log1) - mid1) / mid1
-    dev2 = metrology.magnetization_flatness(1.0, sizes)
+    dev2 = metrology.magnetization_flatness(sizes, delta_g_sq)
     slope_ok = -1.35 <= fit.slope <= -1.0
     elapsed = time.perf_counter() - start
     ok = slope_ok and dev2 <= 0.10 and elapsed < 5.0

@@ -1,5 +1,8 @@
 """Gate-level protocol: shift exactness, auxiliary construction, path equivalence."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,6 +340,37 @@ class TestCompiledRunner:
 
         monkeypatch.setattr(TrotterSchedule, "__post_init__", refuse)
         assert len(circuit._compiled_step(3)) == 4
+
+    @pytest.mark.parametrize("n_spins", [2, 4, 8])
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+    def test_chunks_are_bitwise_one_run(self, n_spins, offset):
+        # L + 1 one short of, equal to, one and two past two whole chunks of steps
+        chunk = 16
+        params = IsingParams(n_spins, field_b=0.9, coupling_j=1.1)
+        sch = TrotterSchedule(total_time=4.0, steps=2 * chunk + offset)
+        whole = run_circuit(params, sch)
+        with mock.patch.object(circuit, "_CHUNK_STEPS", chunk), \
+                mock.patch.object(TrotterSchedule, "taus", autospec=True,
+                                  side_effect=TrotterSchedule.taus) as taus:
+            chunked = run_circuit(params, sch)
+        spans = [call.args[1:] for call in taus.call_args_list]
+        stops = range(sch.steps + 1, 0, -chunk)  # two or three chunks, the last one short
+        assert spans == [(max(stop - chunk, 0), stop) for stop in stops]
+        assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.slow
+    def test_working_memory_does_not_grow_with_steps(self):
+        # tracemalloc sees numpy's buffers: a few chunks of complex (L + 1) x 4 weights
+        # bound the run, where one array of them would take 64 MB at L = 10^6.
+        params = IsingParams(2, field_b=1.0, coupling_j=1.0)
+        sch = TrotterSchedule(total_time=1e5, steps=10**6)
+        tracemalloc.start()
+        try:
+            run_circuit(params, sch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 64 * circuit._CHUNK_STEPS
 
 
 def binomial_fit_p_value(counts: np.ndarray, shots: int, p_plus: float) -> float:

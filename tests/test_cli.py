@@ -47,6 +47,8 @@ PARSER_ERRORS = [
     (["compare", "--analytic-tol", "1e-6"], "unrecognized arguments: --analytic-tol 1e-6"),
     # scaling reports one-shot delta g^2; a shot count only divides them all
     (["scaling", "--shots", "3"], "unrecognized arguments: --shots 3"),
+    # scaling runs at the critical point g = 1, where the paper states its checks
+    (["scaling", "--g", "1"], "unrecognized arguments: --g 1"),
 ]
 
 
@@ -270,7 +272,6 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,g", [
         (["sweep", "--n", "4", "--g", "1e300"], "1e+300"),
-        (["scaling", "--n", "8,16", "--g", "1e300"], "1e+300"),
         (["compare", "--n", "4", "--g", "1e200"], "1e+200"),
         (["estimate", "--n", "4", "--g", "1e200"], "1e+200"),
         (["sweep", "--n", "4", "--g", "1,-2e77"], "-2e+77"),
@@ -287,12 +288,6 @@ class TestUsageErrors:
                            f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
 
     @pytest.mark.parametrize("argv,message", [
-        (["scaling", "--n", "8,16", "--g", "1e60"],
-         "precision_b at N=8, g=1e+60: g is not identifiable"),
-        # At large g, |d<M>/dg|^2 -> 1/(4 g^6) underflows later than |d<B>/dg|^2 at
-        # N >= 8, and Var M/|d<M>/dg|^2 -> 4 g^4/N stays finite: precision_b fails first.
-        (["scaling", "--n", "8,16", "--g", "1e54"],
-         "precision_b at N=8, g=1e+54: g is not identifiable"),
         (["estimate", "--n", "4", "--g", "1e60"],
          "precision_b at N=4, g=1e+60: g is not identifiable"),
     ])
@@ -383,7 +378,7 @@ class TestUsageErrors:
                            f"the default schedule at N={2**53}, T=8.112963841460668e+32 needs "
                            "L + 1 = 8.113e+33 steps, more than 2^53")
 
-    @pytest.mark.parametrize("command", ["sweep", "scaling", "compare", "estimate", "oracle"])
+    @pytest.mark.parametrize("command", ["sweep", "compare", "estimate", "oracle"])
     def test_empty_g(self, capsys, command):
         assert_usage_error(capsys, [*self.BASE[command], "--n", "4", "--g", ""],
                            f"{command} needs a nonempty --g list")
@@ -418,7 +413,6 @@ class TestUsageErrors:
         ("estimate", "--n", "4,8"),
         ("estimate", "--g", "1.0,2.0"),
         ("dump", "--n", "4,8"),
-        ("scaling", "--g", "1.0,0.5"),
     ])
     def test_list_where_one_value_is_read(self, capsys, command, flag, value):
         assert_usage_error(capsys, [*self.BASE[command], flag, value],
@@ -435,6 +429,12 @@ class TestUsageErrors:
         if text is not None:
             cfg.write_text(text)
         assert_usage_error(capsys, [*self.BASE["estimate"], "--config", str(cfg)], message)
+
+    def test_scaling_takes_no_g_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"g": [1.0]}))
+        assert_usage_error(capsys, ["scaling", "--config", str(cfg)],
+                           "unknown config keys: ['g']")
 
     @pytest.mark.parametrize("command,extra,config,message", [
         ("sweep", ["--g", "nan"], None, "--g must be finite, got nan"),
@@ -459,19 +459,26 @@ class TestUsageErrors:
 
 class TestScaling:
     def test_fits_are_the_reports_own_values(self, tmp_path, monkeypatch):
-        """Each fit is fit_power_law over the report's delta g^2, and B is evaluated once per N."""
-        calls = []
-        precision_b = metrology.precision_b
-        monkeypatch.setattr(metrology, "precision_b",
-                            lambda g, n, shots=1: calls.append(n) or precision_b(g, n, shots))
+        """Each fit and the flatness read the report's delta g^2, and each is evaluated
+        once per N, at g = 1."""
+        calls = {"b": [], "m": []}
+        for obs in calls:
+            point = getattr(metrology, f"precision_{obs}")
+            monkeypatch.setattr(metrology, f"precision_{obs}",
+                                lambda g, n, point=point, seen=calls[obs]:
+                                seen.append((g, n)) or point(g, n))
         code, data = run(tmp_path, "scaling", "--n", "8,16,32,64")
         report = json.loads(data)
-        assert code == 0 and calls == [8, 16, 32, 64]
+        assert code == 0 and calls == {"b": [(1.0, n) for n in (8, 16, 32, 64)],
+                                       "m": [(1.0, 2**k) for k in range(8, 14)]}
         for obs in ("b", "m"):
             values = report[f"delta_g_sq_{obs}"]
             fit = metrology.fit_power_law([int(n) for n in values], list(values.values()))
             assert [report[f"{key}_{obs}"] for key in ("slope", "intercept", "r_squared")] == \
                 [fit.slope, fit.intercept, fit.r_squared]
+        values = report["delta_g_sq_m"]
+        assert report["m_flatness_deviation"] == metrology.magnetization_flatness(
+            [int(n) for n in values], list(values.values()))
 
     def test_report_structure(self, tmp_path):
         code, data = run(tmp_path, "scaling")
@@ -786,7 +793,7 @@ class TestPerCommandParser:
     """main builds the named command's parser alone, and it reads argv as the parser of all six."""
     ARGV = {
         "sweep": ["sweep", "--n", "4,8", "--g", "0.5", "--form", "json"],
-        "scaling": ["scaling", "--g", "0.9", "--n-mag", "256,512", "--out", "f"],
+        "scaling": ["scaling", "--n-mag", "256,512", "--out", "f"],
         "compare": ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "8"],
         "estimate": ["estimate", "--n", "4", "--see", "3", "--reps", "10", "--window", "0.2,2"],
         "dump": ["dump", "--n", "4", "--b", "1.5", "--j", "0.5", "--t-total", "2"],
@@ -930,12 +937,9 @@ def test_every_public_name_has_a_caller():
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "json"],
     ["scaling"],
-    ["scaling", "--g", "0.9"],
     ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "32"],
     list(TestEstimate.ARGS),
     ["oracle", "--n", "4", "--g", "1.0", "--t-total", "160", "--l-steps", "1024"],
-    ["scaling", "--n", "8,16", "--g", "1e60"],
-    ["scaling", "--n", "8,16", "--g", "1e52"],
     ["estimate", "--n", "4", "--g", "1e60", "--seed", "1", "--l-steps", "8"],
     ["compare", "--n", "4", "--g", "1", "--t-total", "1e308", "--l-steps", "8"],
     ["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],

@@ -59,7 +59,6 @@ class TestPrecisionPoints:
 
     def test_shot_scaling_exact(self):
         assert precision_b(0.9, 64, shots=100) == precision_b(0.9, 64) / 100.0
-        assert precision_m(0.9, 64, shots=100) == precision_m(0.9, 64) / 100.0
 
     def test_heisenberg_band(self):
         # N^2-scaled uncertainty of the mode observable stays pinned near 4 pi^2.
