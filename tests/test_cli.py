@@ -272,6 +272,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv,g", [
         (["sweep", "--n", "4", "--g", "1e300"], "1e+300"),
+        (["compare", "--n", "4", "--g", "0.5,1e300"], "1e+300"),
         (["compare", "--n", "4", "--g", "1e200"], "1e+200"),
         (["estimate", "--n", "4", "--g", "1e200"], "1e+200"),
         (["sweep", "--n", "4", "--g", "1,-2e77"], "-2e+77"),
@@ -288,6 +289,10 @@ class TestUsageErrors:
                            f"the closed forms overflow at g = {g}: (1 + |g|)^4 is not finite")
 
     @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--n", "8", "--g", "1e60"],
+         "precision_b at N=8, g=1e+60: g is not identifiable"),
+        (["estimate", "--n", "8", "--g", "1e54"],
+         "precision_b at N=8, g=1e+54: g is not identifiable"),
         (["estimate", "--n", "4", "--g", "1e60"],
          "precision_b at N=4, g=1e+60: g is not identifiable"),
     ])
@@ -937,9 +942,13 @@ def test_every_public_name_has_a_caller():
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "4,8", "--g", "0.5,1.0", "--format", "json"],
     ["scaling"],
+    ["scaling", "--n", "8,16", "--n-magnetization", "256,512"],  # fails its windows
     ["compare", "--n", "4", "--g", "0.5,1.0", "--l-steps", "32"],
     list(TestEstimate.ARGS),
     ["oracle", "--n", "4", "--g", "1.0", "--t-total", "160", "--l-steps", "1024"],
+    # at g = 1, delta g^2 stays finite at the largest sizes
+    ["scaling", "--n", f"8,{2**53}"],
+    ["scaling", "--n-magnetization", f"256,{2**16}"],
     ["estimate", "--n", "4", "--g", "1e60", "--seed", "1", "--l-steps", "8"],
     ["compare", "--n", "4", "--g", "1", "--t-total", "1e308", "--l-steps", "8"],
     ["oracle", "--n", "4", "--g", "1", "--t-total", "1e200", "--l-steps", "8"],
