@@ -72,8 +72,8 @@ class TrotterSchedule:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.total_time <= 0.0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not 0.0 < self.total_time < math.inf:
+            raise ValueError(f"total_time must be positive and finite, got {self.total_time}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.steps >= 2**53:  # tau(l) reads l as a float, exact up to 2^53
@@ -103,6 +103,8 @@ def build_schedule(
     """
     if total_time is None:
         total_time = 10.0 * n_spins**2
+    if not math.isfinite(total_time):
+        raise ValueError(f"schedule needs a finite total_time, got T={total_time}")
     if steps is None:
         fewest = total_time / TROTTER_STEP
         if fewest > 2**53:

@@ -25,7 +25,7 @@ import math
 import os
 import stat
 import sys
-from typing import NoReturn
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -65,30 +65,13 @@ def _fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to stdout or to the file ``out``.
-
-    An existing regular file is overwritten in place and then truncated to
-    the new length: truncating it to zero first makes ext4 (auto_da_alloc)
-    flush it on close, which costs tens of milliseconds per report.
-    """
-    if not out:
-        sys.stdout.write(text)
-        return
-    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode())
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
-
-
-def _check_out(out: str) -> bool:
-    """Usage error unless ``out`` opens for writing, keeping an existing file; True if new."""
+def _open_out(out: str) -> tuple[BinaryIO, bool]:
+    """``out`` open for writing with its bytes kept, and whether it is new; usage error if not."""
     created = not os.path.lexists(out)
     try:
-        os.close(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666))
+        return open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb"), created
     except OSError as exc:
         _usage_error(f"--out: {exc}")
-    return created
 
 
 def _list_of(kind: type):
@@ -555,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     cfg = _resolve(args)
     out = cfg.pop("out")
-    created = bool(out) and _check_out(out)  # before any work runs
+    fh, created = _open_out(out) if out else (None, False)  # before any work runs
     passed = True
     try:
         body = text = _COMMANDS[args.command][0](cfg)
@@ -566,10 +549,21 @@ def main(argv: list[str] | None = None) -> int:
             # JSON has no NaN or Infinity: a report holding one raises ValueError here.
             text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except BaseException:
-        if created:  # stopped before writing: leave no empty file behind
-            os.remove(out)
+        if fh is not None:
+            fh.close()
+            if created:  # stopped before writing: leave no empty file behind
+                os.remove(out)
         raise
-    _emit(text, out)
+    if fh is None:
+        sys.stdout.write(text)
+    else:
+        with fh:
+            # Overwrite in place, then truncate a regular file to the new length:
+            # truncating it to zero first makes ext4 (auto_da_alloc) flush it on
+            # close, which costs tens of milliseconds per report.
+            fh.write(text.encode())
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     return 0 if passed else 1
 
 

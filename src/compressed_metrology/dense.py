@@ -234,8 +234,8 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     sector's 128 states at N = 8).  There it is carried in the eigenbasis V of
     H1 (``_bond_eigh``, solved once per N), where U0 is the matrix
     K = V^T diag(u0) V formed once and a step is one small product
-    psi <- phases_l * (K psi); the step phases are exponentiated a chunk of
-    steps at a time.  The output has the
+    psi <- phases_l * (K psi); the step angles tau and their phases are formed
+    a chunk of steps at a time.  The output has the
     bits of the per-step reduced loop kept in the test suite and exact zeros
     on the odd sector.
     """
@@ -246,9 +246,9 @@ def trotter_evolve(params: IsingParams, schedule: TrotterSchedule) -> np.ndarray
     u0 = np.exp(1j * params.field_b * schedule.delta * (n - 2.0 * popcounts(n)))
     k0 = v1.T @ (u0[:, None] * v1)
     state = v1[0]  # |0..0> in H1's eigenbasis
-    angles = 1j * params.coupling_j * schedule.taus() / 2.0
     chunk = max(1, _PHASE_CHUNK_ENTRIES // w1.size)
     for lo in range(0, schedule.steps + 1, chunk):
-        for phases in np.exp(angles[lo:lo + chunk, None] * w1):
+        taus = schedule.taus(lo, min(lo + chunk, schedule.steps + 1))
+        for phases in np.exp(1j * params.coupling_j * taus[:, None] / 2.0 * w1):
             state = phases * (k0 @ state)
     return v1 @ state

@@ -88,6 +88,15 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             build_schedule(4, steps=0)
 
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_total_time(self, total_time):
+        # NaN passes a "<= 0" check, and the default L would read it as an int
+        with pytest.raises(ValueError, match="total_time must be positive and finite"):
+            TrotterSchedule(total_time, 5)
+        for steps in (5, None):
+            with pytest.raises(ValueError, match="schedule needs a finite total_time, got T="):
+                build_schedule(4, total_time, steps)
+
     def test_rejects_step_indices_past_the_exact_floats(self):
         # tau(l) reads l as a float: L + 1 = 2^53 is the last exact count
         assert build_schedule(4, steps=2**53 - 1).steps == 2**53 - 1

@@ -358,20 +358,23 @@ class TestCompiledRunner:
         assert spans == [(max(stop - chunk, 0), stop) for stop in stops]
         assert chunked.tobytes() == whole.tobytes()
 
-    @pytest.mark.slow
     def test_working_memory_does_not_grow_with_steps(self):
         # tracemalloc sees numpy's buffers: a few chunks of complex (L + 1) x 4 weights
-        # bound the run, where one array of them would take 64 MB at L = 10^6.
+        # bound the run, where one array of them would grow with L.  The 1 kB slack
+        # covers Python's own small objects, which differ by a few dozen bytes.
         params = IsingParams(2, field_b=1.0, coupling_j=1.0)
-        sch = TrotterSchedule(total_time=1e5, steps=10**6)
-        tracemalloc.start()
-        try:
-            run_circuit(params, sch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 64 * circuit._CHUNK_STEPS
-
+        run_circuit(params, TrotterSchedule(total_time=1.0, steps=1))  # the compiled step
+        peaks = []
+        with mock.patch.object(circuit, "_CHUNK_STEPS", 64):
+            for steps in (255, 4096):
+                tracemalloc.start()
+                try:
+                    run_circuit(params, TrotterSchedule(total_time=0.1 * steps, steps=steps))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= peaks[0] + 1024
+            assert max(peaks) <= 4 * 64 * circuit._CHUNK_STEPS
 
 def binomial_fit_p_value(counts: np.ndarray, shots: int, p_plus: float) -> float:
     """Chi-square p-value of ``counts`` against Binomial(shots, p_plus), over bins of

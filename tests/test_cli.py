@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
 from compressed_metrology import adiabatic, circuit, cli, dense, ising, matchgate, metrology
-from compressed_metrology.cli import _emit, main
+from compressed_metrology.cli import main
 from support import parse_program
 
 ROOT = Path(__file__).parent.parent
@@ -141,22 +142,78 @@ class TestReportEnvelope:
         assert code == (1 if report.get("failures") else 0)
 
 
-class TestEmit:
-    def test_shorter_report_over_longer_file(self, tmp_path):
-        out = tmp_path / "report"
-        _emit("x" * 5000 + "\n", str(out))
-        _emit("short\n", str(out))
-        assert out.read_bytes() == b"short\n"
-
-    def test_creates_file_and_writes_to_devices(self, tmp_path):
-        out = tmp_path / "new"
-        _emit("fresh\n", str(out))
-        assert out.read_bytes() == b"fresh\n"
-        _emit("discarded\n", os.devnull)
-
-
 class TestOut:
-    """--out is checked before any work runs; a run that fails leaves an existing file as it is."""
+    """--out is opened once, before any work runs; a run that fails leaves an existing file
+    as it is."""
+
+    SWEEP = ["sweep", "--n", "4", "--g", "1"]
+
+    def test_shorter_report_over_longer_file(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        assert main(["sweep", "--n", "4,8,16", "--g", "0.5,1,1.5", "--out", str(out)]) == 0
+        longer = out.stat().st_size
+        assert main(self.SWEEP) == 0
+        short = capsys.readouterr().out.encode()
+        assert main([*self.SWEEP, "--out", str(out)]) == 0
+        assert len(short) < longer and out.read_bytes() == short
+
+    def test_creates_new_file(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert main([*self.SWEEP, "--out", str(out)]) == 0
+        assert main(self.SWEEP) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        SWEEP,
+        ["oracle", "--n", "4", "--l-steps", "8"],
+        ["compare", "--n", "16", "--g", "1.0"],  # a usage error after --out was opened
+    ])
+    def test_out_is_opened_once(self, tmp_path, monkeypatch, argv):
+        out = str(tmp_path / "report")
+        opened = []
+
+        def spy(real):
+            def call(path, *args, **kwargs):
+                opened.append(path)
+                return real(path, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(os, "open", spy(os.open))
+        monkeypatch.setattr(cli, "open", spy(open), raising=False)
+        for previous in (None, "previous\n"):  # a new path, then an existing file
+            if previous:
+                Path(out).write_text(previous)
+            opened.clear()
+            try:
+                main([*argv, "--out", out])
+            except SystemExit:
+                pass
+            assert opened.count(out) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_gets_the_report(self, tmp_path, capsys):
+        # The write goes to the descriptor the pre-run check opened: a second open would
+        # wait for a reader that saw end of file when the first one closed.
+        argv = ["compare", "--n", "4,8", "--g", "1", "--l-steps", "2048"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run([sys.executable, "-m", "compressed_metrology.cli", *argv,
+                                   "--out", str(fifo)], env=env, capture_output=True, timeout=30)
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the pipe was never opened for writing: release the reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert got == [expected]
 
     @pytest.mark.parametrize("target,code", [
         ("nodir/x.csv", errno.ENOENT),

@@ -1,5 +1,8 @@
 """Brute-force reference: Hamiltonian structure, sectors, evolution, QFI."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -324,6 +327,22 @@ class TestTrotterEvolve:
         state = dense.trotter_evolve(params, sch)
         assert_same_bits(state, trotter_evolve_sector_stepwise(params, sch))
         assert np.abs(state - trotter_evolve_stepwise(params, sch)).max() < 1e-11
+
+    def test_working_memory_does_not_grow_with_steps(self):
+        # tau and the phases are formed a chunk of steps at a time, so 16 times the
+        # steps hold no more memory; the 1 kB slack covers Python's own small objects.
+        params = IsingParams(4, field_b=1.0, coupling_j=1.0)
+        dense.trotter_evolve(params, TrotterSchedule(1.0, 1))  # H1's eigenbasis, cached per N
+        peaks = []
+        with mock.patch.object(dense, "_PHASE_CHUNK_ENTRIES", 2**8):
+            for steps in (1023, 16383):
+                tracemalloc.start()
+                try:
+                    dense.trotter_evolve(params, TrotterSchedule(100.0, steps))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1024
 
     @staticmethod
     def _random_case(n_spins, steps):
