@@ -363,7 +363,7 @@ class TestCompiledRunner:
         # bound the run, where one array of them would grow with L.  The 1 kB slack
         # covers Python's own small objects, which differ by a few dozen bytes.
         params = IsingParams(2, field_b=1.0, coupling_j=1.0)
-        run_circuit(params, TrotterSchedule(total_time=1.0, steps=1))  # the compiled step
+        run_circuit(params, TrotterSchedule(total_time=1.0, steps=1))  # caches decompose_shift
         peaks = []
         with mock.patch.object(circuit, "_CHUNK_STEPS", 64):
             for steps in (255, 4096):
@@ -375,6 +375,7 @@ class TestCompiledRunner:
                     tracemalloc.stop()
             assert peaks[1] <= peaks[0] + 1024
             assert max(peaks) <= 4 * 64 * circuit._CHUNK_STEPS
+
 
 def binomial_fit_p_value(counts: np.ndarray, shots: int, p_plus: float) -> float:
     """Chi-square p-value of ``counts`` against Binomial(shots, p_plus), over bins of
